@@ -12,7 +12,6 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, replace
-from typing import Optional
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
@@ -23,6 +22,7 @@ from .manifold import (
     RetractionNonUniqueWarning,
     UPoint,
     UsPoint,
+    _crandn,
     as_matrix,
     us_retract,
 )
@@ -145,10 +145,6 @@ def los_components(sc: Scenario) -> tuple[np.ndarray, np.ndarray]:
     return F_los, G_los
 
 
-def _crandn(rng: np.random.Generator, *shape) -> np.ndarray:
-    return (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / np.sqrt(2)
-
-
 def gen_channels(sc: Scenario, seed) -> ChannelSet:
     """Draw one channel realization, deterministic per seed.
 
@@ -254,12 +250,9 @@ def per_phase_opt(ch: ChannelSet, Fr: GeodesicFrame, theta: np.ndarray,
     Never returns a phase worse than theta[m]; flat axes (e.g. a column
     annihilated by F) keep their current phase.
     """
-    theta = np.asarray(theta, dtype=float)
     if not 0 <= m < Fr.n:
         raise ValueError(f"phase index {m} out of range for n={Fr.n}")
-    Uc = ch.F @ Fr.QR
-    Wc = ch.G.conj() @ Fr.QR
-    return _phase_argmax(ch.Hd, Uc, Wc, theta, m, rho)
+    return RateObjective(ch, rho).phase_maximizer(Fr, theta, m)
 
 
 class RateObjective(Objective):
@@ -275,7 +268,7 @@ class RateObjective(Objective):
     def __init__(self, channels: ChannelSet, rho: float):
         self.channels = channels
         self.rho = float(rho)
-        self._frame_cache: Optional[tuple] = None
+        self._frame_cache: tuple | None = None
 
     def eval(self, point) -> float:
         return rate(self.channels, point, self.rho)

@@ -1,6 +1,8 @@
 """Command-line entry point: `unisym run <spec-file>` executes a
 Monte-Carlo method comparison, `unisym bench <spec-file>` times the
-iterative methods. Flags override the corresponding config keys.
+iterative methods. Flags override the corresponding config keys. Exit
+status: 0 on success, 1 when a `run` finished with failed trials, 2 on a
+bad config or an unreadable file.
 """
 
 from __future__ import annotations
@@ -51,7 +53,7 @@ def main(argv=None) -> int:
                 for M in spec.sweep:
                     cell = result.summary[method][str(M)]
                     if cell is None:
-                        print(f"{method:10s} M={M:<4d} inapplicable")
+                        print(f"{method:10s} M={M:<4d} no result")
                     else:
                         print(f"{method:10s} M={M:<4d} "
                               f"mean {cell['mean_rate_bits']:.3f} bits "
@@ -59,6 +61,11 @@ def main(argv=None) -> int:
                               f"iters {cell['mean_iters']:.1f})")
             print(f"results: {result.results_csv}")
             print(f"summary: {result.summary_json}")
+            failed = sum(r.converged == "error" for r in result.rows)
+            if failed:
+                print(f"error: {failed} trial(s) failed with a numerical error; "
+                      f"see {result.output_dir / 'errors.csv'}", file=sys.stderr)
+                return 1
         else:
             rows, path = bench(spec)
             for r in rows:

@@ -4,9 +4,10 @@ convergence traces, timing benchmarks, CSV/JSON outputs.
 A run spec is a flat key-value YAML file; every key has a desk-scale
 default, unknown keys are rejected, and CLI flags override file values.
 Outputs per run: results.csv (one row per method/element-count/trial),
-trace_<method>_<M>_<trial>.csv per iterative run, and summary.json with
-per-method mean/std rates. The bench command writes bench.csv with
-median per-iteration core times.
+trace_<method>_<M>_<trial>.csv per iterative run, summary.json with
+per-method mean/std rates, and errors.csv naming each trial that failed
+with a NumericalError. The bench command writes bench.csv with median
+per-iteration core times.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ import numpy as np
 import yaml
 
 from .bdris import (
-    ChannelSet,
+    LN2,
     InapplicableMethodError,
     RateObjective,
     Scenario,
@@ -32,17 +33,14 @@ from .bdris import (
     mo_u_proj_baseline,
     rate_bits,
 )
+from .linalg import NumericalError
 from .manifold import u_random, us_random
 from .optimizer import IterationTrace, OptimizerConfig, optimize_us
-
-LN2 = math.log(2.0)
-
-METHODS = ("mo_us", "mo_u_proj", "low_cost")
-ITERATIVE_METHODS = ("mo_us", "mo_u_proj")
 
 RESULTS_HEADER = ["method", "M", "trial", "seed", "rate_bits", "iterations",
                   "wall_ms", "converged"]
 TRACE_HEADER = ["k", "F_bits", "wall_ms"]
+ERRORS_HEADER = ["method", "M", "trial", "seed", "error"]
 BENCH_HEADER = ["method", "M", "median_iter_ms", "total_ms"]
 
 CONFIG_DEFAULTS: dict = {
@@ -64,7 +62,6 @@ CONFIG_DEFAULTS: dict = {
     "epsilon": 1e-3,
     "max_iters": 100,
     "sweeps_per_iter": 1,
-    "fallback_grid": 360,
     "output_dir": "results",
 }
 
@@ -165,7 +162,6 @@ def build_run_spec(values: dict) -> RunSpec:
         epsilon=_expect_number(raw, "epsilon"),
         max_iters=_expect_int(raw, "max_iters"),
         sweeps_per_iter=_expect_int(raw, "sweeps_per_iter"),
-        fallback_grid=_expect_int(raw, "fallback_grid"),
     )
     return RunSpec(
         scenario=scenario,
@@ -195,8 +191,8 @@ def load_run_spec(path, overrides: dict | None = None) -> RunSpec:
 @dataclass(frozen=True)
 class ResultRow:
     """One (method, element count, trial) outcome. converged is "true",
-    "false", or "inapplicable"; inapplicable rows carry nan rate and zero
-    iterations."""
+    "false", "inapplicable" or "error"; inapplicable and error rows carry
+    nan rate and zero iterations."""
 
     method: str
     M: int
@@ -222,29 +218,18 @@ def _init_seed(seed0: int, trial: int, M: int, stream: int) -> np.random.SeedSeq
     return np.random.SeedSequence((seed0, trial, M, stream))
 
 
-def _run_method(method: str, ch: ChannelSet, rho: float, seed0: int, trial: int,
-                M: int, cfg: OptimizerConfig):
-    """Execute one method on one realization. Returns (rate_bits,
-    iterations, wall_ms, converged, trace|None); raises
-    InapplicableMethodError only out of low_cost on blocked scenarios."""
-    t0 = time.perf_counter()
-    if method == "mo_us":
-        P0 = us_random(M, seed=_init_seed(seed0, trial, M, 0))
-        P, trace = optimize_us(RateObjective(ch, rho), P0, cfg)
-        wall = (time.perf_counter() - t0) * 1e3
-        ok = "true" if trace.status == "converged" else "false"
-        return rate_bits(ch, P, rho), trace.iterations, wall, ok, trace
-    if method == "mo_u_proj":
-        U0 = u_random(M, seed=_init_seed(seed0, trial, M, 1))
-        P, trace = mo_u_proj_baseline(ch, rho, U0, cfg)
-        wall = (time.perf_counter() - t0) * 1e3
-        ok = "true" if trace.status == "converged" else "false"
-        return rate_bits(ch, P, rho), trace.iterations, wall, ok, trace
-    if method == "low_cost":
-        P = low_cost_bdris(ch)
-        wall = (time.perf_counter() - t0) * 1e3
-        return rate_bits(ch, P, rho), 0, wall, "true", None
-    raise ValueError(f"unknown method {method!r}")
+# Method name -> runner (channels, rho, seed0, trial, optimizer config) ->
+# (surface, trace or None). Each iterative method draws its start point
+# from its own _init_seed stream; a runner raises InapplicableMethodError
+# when the method cannot run on the scenario.
+METHODS = {
+    "mo_us": lambda ch, rho, seed0, trial, cfg: optimize_us(
+        RateObjective(ch, rho), us_random(ch.m, seed=_init_seed(seed0, trial, ch.m, 0)), cfg),
+    "mo_u_proj": lambda ch, rho, seed0, trial, cfg: mo_u_proj_baseline(
+        ch, rho, u_random(ch.m, seed=_init_seed(seed0, trial, ch.m, 1)), cfg),
+    "low_cost": lambda ch, rho, seed0, trial, cfg: (low_cost_bdris(ch), None),
+}
+ITERATIVE_METHODS = ("mo_us", "mo_u_proj")
 
 
 def _write_trace(path: Path, trace: IterationTrace) -> None:
@@ -257,13 +242,14 @@ def _write_trace(path: Path, trace: IterationTrace) -> None:
 
 def _summarize(rows: list[ResultRow], methods, sweep) -> dict:
     """Per method, per element count: mean/std rate in bits and mean
-    iteration count over applicable rows; null when none apply."""
+    iteration count over rows with a result; null when there are none."""
     out: dict = {}
     for method in methods:
         per_m: dict = {}
         for M in sweep:
             got = [r for r in rows
-                   if r.method == method and r.M == M and r.converged != "inapplicable"]
+                   if r.method == method and r.M == M
+                   and r.converged not in ("inapplicable", "error")]
             if not got:
                 per_m[str(M)] = None
                 continue
@@ -284,28 +270,35 @@ def run_experiment(spec: RunSpec) -> ExperimentResult:
     For a fixed (element count, trial) every method sees the identical
     channel realization (seed seed0 + trial), so comparisons are paired.
     Rows are produced in (method, element count, trial) order and the
-    whole run is deterministic apart from the timing columns.
+    whole run is deterministic apart from the timing columns. A trial
+    that raises NumericalError becomes an error row and a line of
+    errors.csv; the run goes on.
     """
     out_dir = Path(spec.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    channels: dict[tuple[int, int], ChannelSet] = {}
     rows: list[ResultRow] = []
+    errors: list[list] = []
     for method in spec.methods:
         for M in spec.sweep:
             sc = spec.scenario.with_elements(M)
             for trial in range(spec.trials):
-                key = (M, trial)
-                if key not in channels:
-                    channels[key] = gen_channels(sc, seed=spec.seed0 + trial)
-                ch = channels[key]
+                seed = spec.seed0 + trial
+                ch = gen_channels(sc, seed=seed)
                 try:
-                    rb, iters, wall, ok, trace = _run_method(
-                        method, ch, sc.rho, spec.seed0, trial, M, spec.optimizer)
+                    t0 = time.perf_counter()
+                    P, trace = METHODS[method](ch, sc.rho, spec.seed0, trial, spec.optimizer)
+                    wall = (time.perf_counter() - t0) * 1e3
+                    rb = rate_bits(ch, P, sc.rho)
+                    iters = 0 if trace is None else trace.iterations
+                    ok = "true" if trace is None or trace.status == "converged" else "false"
                 except InapplicableMethodError:
                     rb, iters, wall, ok, trace = math.nan, 0, 0.0, "inapplicable", None
-                rows.append(ResultRow(method=method, M=M, trial=trial,
-                                      seed=spec.seed0 + trial, rate_bits=rb,
-                                      iterations=iters, wall_ms=wall, converged=ok))
+                except NumericalError as exc:
+                    rb, iters, wall, ok, trace = math.nan, 0, 0.0, "error", None
+                    errors.append([method, M, trial, seed, str(exc)])
+                rows.append(ResultRow(method=method, M=M, trial=trial, seed=seed,
+                                      rate_bits=rb, iterations=iters, wall_ms=wall,
+                                      converged=ok))
                 if trace is not None:
                     _write_trace(out_dir / f"trace_{method}_{M}_{trial}.csv", trace)
 
@@ -316,6 +309,11 @@ def run_experiment(spec: RunSpec) -> ExperimentResult:
         for r in rows:
             w.writerow([r.method, r.M, r.trial, r.seed, repr(r.rate_bits),
                         r.iterations, repr(r.wall_ms), r.converged])
+    if errors:
+        with open(out_dir / "errors.csv", "w", newline="", encoding="utf-8") as fh:
+            w = csv.writer(fh)
+            w.writerow(ERRORS_HEADER)
+            w.writerows(errors)
 
     summary = _summarize(rows, spec.methods, spec.sweep)
     summary_json = out_dir / "summary.json"
@@ -356,8 +354,7 @@ def bench(spec: RunSpec) -> tuple[list[BenchRow], Path]:
             for trial in range(trials):
                 ch = gen_channels(sc, seed=spec.seed0 + trial)
                 t0 = time.perf_counter()
-                _, iters, wall, _, trace = _run_method(
-                    method, ch, sc.rho, spec.seed0, trial, M, spec.optimizer)
+                _, trace = METHODS[method](ch, sc.rho, spec.seed0, trial, spec.optimizer)
                 total += time.perf_counter() - t0
                 core_ms.extend(r.core_ms for r in trace.records if r.k >= 1)
             rows.append(BenchRow(method=method, M=M,

@@ -18,12 +18,6 @@ class NumericalError(RuntimeError):
     """A kernel could not certify its output to the required tolerance."""
 
 
-class SvdFactors(NamedTuple):
-    F: np.ndarray
-    sigma: np.ndarray
-    G: np.ndarray
-
-
 class TakagiFactors(NamedTuple):
     Q: np.ndarray
     sigma: np.ndarray
@@ -41,20 +35,6 @@ def _square(A: np.ndarray, name: str = "A") -> np.ndarray:
     if A.size and not np.all(np.isfinite(A)):
         raise ValueError(f"{name} contains non-finite entries")
     return A
-
-
-def svd(A: np.ndarray) -> SvdFactors:
-    """Full SVD of a square complex matrix, A = F diag(sigma) G^H.
-
-    Singular values come back descending. Factors are unitary to
-    machine precision.
-    """
-    A = _square(A)
-    try:
-        F, sigma, Gh = np.linalg.svd(A)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalError(f"SVD did not converge for shape {A.shape}: {exc}") from exc
-    return SvdFactors(F=F, sigma=sigma, G=Gh.conj().T)
 
 
 def eig_real_symmetric(R: np.ndarray, sym_tol: float = 1e-10) -> RealSymEig:
@@ -132,8 +112,11 @@ def takagi(A: np.ndarray, sym_tol: float = 1e-8, group_tol: float = 1e-8,
     if np.linalg.norm(A - A.T) > sym_tol * max(1.0, nrm):
         raise ValueError("A is not symmetric within tolerance")
     A = (A + A.T) / 2.0
-    F, sigma, G = svd(A)
-    W = F.conj().T @ G.conj()
+    try:
+        F, sigma, Gh = np.linalg.svd(A)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalError(f"SVD did not converge for shape {A.shape}: {exc}") from exc
+    W = F.conj().T @ Gh.T
     n = A.shape[0]
     root = np.zeros((n, n), dtype=complex)
     for ix in _sigma_groups(sigma, group_tol):

@@ -1,10 +1,12 @@
 """Geometry of the manifold of unitary symmetric matrices.
 
-The feasible set is Us = {U : U U^H = I, U = U^T}. Every point carries a
-cached factor Q with U = Q Q^T (a Takagi factor of U), which makes tangent
-projection, geodesics, and the multiplicative phase update cheap: iterative
-callers update Q instead of re-factorizing U each step, and refresh it from
-a fresh Takagi factorization only when the residuals drift.
+The feasible set is Us = {U : U U^H = I, U = U^T}. A point is stored by a
+unitary factor Q (a Takagi factor of U) and its matrix is derived as
+U = Q Q^T, so it is symmetric by construction and unitary exactly as far as
+Q is. The factor makes tangent projection, geodesics, and the
+multiplicative phase update cheap: iterative callers update Q instead of
+re-factorizing U each step, and refresh it from a fresh Takagi
+factorization only when Q drifts from unitarity.
 
 The few operations on the plain unitary manifold needed by the projection
 baseline (tangent projection and geodesic steps on U(n)) live here too.
@@ -14,14 +16,14 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from typing import NamedTuple
+from functools import cached_property
 
 import numpy as np
 
 from .linalg import eig_real_symmetric, expm_skew_hermitian, takagi
 
-# Residual level above which a cached factor is considered stale and the
-# point is refreshed by re-factorization.
+# Residual level above which a factor is considered stale and the point is
+# refreshed by re-factorization.
 DRIFT_TOL = 1e-8
 
 
@@ -31,35 +33,28 @@ class RetractionNonUniqueWarning(UserWarning):
     returned."""
 
 
-class PointResiduals(NamedTuple):
-    unitary: float        # ||U U^H - I||_F
-    symmetry: float       # ||U - U^T||_F
-    factor: float         # ||Q Q^T - U||_F
-    factor_unitary: float  # ||Q Q^H - I||_F
+def _unitarity_residual(A: np.ndarray) -> float:
+    return float(np.linalg.norm(A @ A.conj().T - np.eye(A.shape[0])))
 
 
 @dataclass(frozen=True, eq=False)
 class UsPoint:
-    """A unitary symmetric matrix U together with a factor Q, U = Q Q^T."""
+    """A unitary symmetric matrix stored by its unitary factor Q, U = Q Q^T."""
 
-    U: np.ndarray
     Q: np.ndarray
+
+    @cached_property
+    def U(self) -> np.ndarray:
+        return self.Q @ self.Q.T
 
     @property
     def n(self) -> int:
-        return self.U.shape[0]
-
-    def residuals(self) -> PointResiduals:
-        eye = np.eye(self.n)
-        return PointResiduals(
-            unitary=float(np.linalg.norm(self.U @ self.U.conj().T - eye)),
-            symmetry=float(np.linalg.norm(self.U - self.U.T)),
-            factor=float(np.linalg.norm(self.Q @ self.Q.T - self.U)),
-            factor_unitary=float(np.linalg.norm(self.Q @ self.Q.conj().T - eye)),
-        )
+        return self.Q.shape[0]
 
     def max_residual(self) -> float:
-        return max(self.residuals())
+        """||Q Q^H - I||_F; U = Q Q^T is symmetric by construction and
+        unitary whenever Q is."""
+        return _unitarity_residual(self.Q)
 
 
 @dataclass(frozen=True, eq=False)
@@ -114,13 +109,9 @@ class UPoint:
     def n(self) -> int:
         return self.U.shape[0]
 
-    def unitarity_residual(self) -> float:
-        return float(np.linalg.norm(self.U @ self.U.conj().T - np.eye(self.n)))
-
-
-def point_from_factor(Q: np.ndarray) -> UsPoint:
-    """UsPoint built from a unitary factor Q, with U = Q Q^T."""
-    return UsPoint(U=Q @ Q.T, Q=Q)
+    def max_residual(self) -> float:
+        """||U U^H - I||_F."""
+        return _unitarity_residual(self.U)
 
 
 def as_matrix(point) -> np.ndarray:
@@ -130,11 +121,15 @@ def as_matrix(point) -> np.ndarray:
     return np.asarray(point)
 
 
+def _crandn(rng: np.random.Generator, *shape) -> np.ndarray:
+    """Standard circularly symmetric complex Gaussian draws."""
+    return (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / np.sqrt(2)
+
+
 def _haar_unitary(n: int, rng: np.random.Generator) -> np.ndarray:
     """Haar-distributed unitary via QR of a complex Gaussian matrix with
     phase normalization of the triangular factor's diagonal."""
-    Z = (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))) / np.sqrt(2)
-    Q, R = np.linalg.qr(Z)
+    Q, R = np.linalg.qr(_crandn(rng, n, n))
     d = np.diag(R).copy()
     d[np.abs(d) == 0] = 1.0
     return Q * (d / np.abs(d))[np.newaxis, :]
@@ -147,8 +142,7 @@ def us_random(n: int, seed) -> UsPoint:
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    Q = _haar_unitary(n, np.random.default_rng(seed))
-    return point_from_factor(Q)
+    return UsPoint(Q=_haar_unitary(n, np.random.default_rng(seed)))
 
 
 def u_random(n: int, seed) -> UPoint:
@@ -166,8 +160,8 @@ def us_tangent_project(P: UsPoint, J: np.ndarray) -> TangentDirection:
     vector to J.
     """
     J = np.asarray(J)
-    if J.shape != P.U.shape:
-        raise ValueError(f"J has shape {J.shape}, expected {P.U.shape}")
+    if J.shape != P.Q.shape:
+        raise ValueError(f"J has shape {J.shape}, expected {P.Q.shape}")
     M = P.Q.conj().T @ (J + J.T) @ P.Q.conj()
     return TangentDirection(R=M.imag / 2.0)
 
@@ -193,8 +187,7 @@ def us_point_at(Fr: GeodesicFrame, phases: np.ndarray) -> UsPoint:
     phases = np.asarray(phases, dtype=float)
     if phases.shape != (Fr.n,):
         raise ValueError(f"phases have shape {phases.shape}, expected ({Fr.n},)")
-    Q = Fr.QR * np.exp(0.5j * phases)[np.newaxis, :]
-    return point_from_factor(Q)
+    return UsPoint(Q=Fr.QR * np.exp(0.5j * phases)[np.newaxis, :])
 
 
 def us_retract(A: np.ndarray, singular_tol: float = 1e-12) -> UsPoint:
@@ -211,7 +204,7 @@ def us_retract(A: np.ndarray, singular_tol: float = 1e-12) -> UsPoint:
             f"retraction target has sigma_min={sigma[-1]:.3e} <= "
             f"{singular_tol:g}*sigma_max; nearest point may not be unique",
             RetractionNonUniqueWarning, stacklevel=2)
-    return point_from_factor(Q)
+    return UsPoint(Q=Q)
 
 
 def u_tangent_project(P: UPoint, J: np.ndarray) -> np.ndarray:

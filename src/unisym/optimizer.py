@@ -35,6 +35,8 @@ from .manifold import (
 ARMIJO_CONTRACTION = 0.5
 ARMIJO_SUFFICIENT_INCREASE = 1e-4
 ARMIJO_MAX_BACKTRACKS = 30
+# Grid size of the default (numerical) phase maximizer.
+PHASE_GRID = 360
 
 
 class Objective:
@@ -43,12 +45,11 @@ class Objective:
     eval(point) returns the objective value in nats; euclid_grad(point)
     returns the ambient-space gradient J, consistent with eval under the
     real trace inner product (directional derivative along a tangent B is
-    Re tr(J^H B)). phase_maximizer, when overridden with a callable,
-    must return an argmax of the objective over frame phase m holding the
-    others fixed, and may never decrease the objective.
+    Re tr(J^H B)). phase_maximizer(Fr, theta, m) returns an argmax of the
+    objective over frame phase m holding the others fixed and may never
+    decrease the objective; the default is a numerical search, which
+    objectives with a closed form override.
     """
-
-    phase_maximizer = None
 
     def eval(self, point) -> float:
         raise NotImplementedError
@@ -56,13 +57,43 @@ class Objective:
     def euclid_grad(self, point) -> np.ndarray:
         raise NotImplementedError
 
+    def phase_maximizer(self, Fr: GeodesicFrame, theta: np.ndarray, m: int) -> float:
+        """Grid search over (-pi, pi] plus golden-section refinement for
+        one phase, holding the others fixed. Never returns a worse phase
+        than the current theta[m]."""
+        def f_of(phi: float) -> float:
+            t = theta.copy()
+            t[m] = phi
+            return self.eval(us_point_at(Fr, t))
+
+        grid = PHASE_GRID
+        phis = -np.pi + 2 * np.pi * (np.arange(1, grid + 1)) / grid
+        vals = np.array([f_of(p) for p in phis])
+        f_cur = f_of(theta[m])
+        i = int(np.argmax(vals))
+        best_phi, best_val = theta[m], f_cur
+        if vals[i] > best_val:
+            best_phi, best_val = phis[i], vals[i]
+        # refine around the best grid point when it strictly beats its neighbors
+        left, right = vals[(i - 1) % grid], vals[(i + 1) % grid]
+        if vals[i] > left and vals[i] > right:
+            step = 2 * np.pi / grid
+            try:
+                res = minimize_scalar(lambda p: -f_of(p),
+                                      bracket=(phis[i] - step, phis[i], phis[i] + step),
+                                      method="golden", options={"xtol": 1e-10})
+                if -res.fun > best_val:
+                    best_phi, best_val = float(res.x), float(-res.fun)
+            except ValueError:
+                pass
+        return best_phi
+
 
 @dataclass
 class OptimizerConfig:
     epsilon: float = 1e-3        # stop when |F_k - F_{k-1}| < epsilon
     max_iters: int = 100
     sweeps_per_iter: int = 1     # phase-sweep passes per outer iteration
-    fallback_grid: int = 360     # grid size of the scalar phase search
     check_gradient: bool = False  # debug: finite-difference gradient audit
 
     def __post_init__(self):
@@ -72,8 +103,6 @@ class OptimizerConfig:
             raise ValueError("max_iters must be >= 1")
         if self.sweeps_per_iter < 1:
             raise ValueError("sweeps_per_iter must be >= 1")
-        if self.fallback_grid < 8:
-            raise ValueError("fallback_grid must be >= 8")
 
 
 @dataclass
@@ -83,7 +112,6 @@ class IterationRecord:
     grad_norm: float    # ||R||_F (or ||S||_F on U(n)); nan for the k=0 row
     wall_ms: float      # whole-iteration wall time
     core_ms: float      # gradient + projection + eigendecomposition + update
-    sweeps: int
     residual: float     # manifold residual of the iterate
 
 
@@ -132,40 +160,7 @@ def _audit_gradient(obj: Objective, P: UsPoint, direction, J, f0: float) -> None
             f"vs inner product {expected:.8e}")
 
 
-def _scalar_phase_argmax(obj: Objective, Fr: GeodesicFrame, theta: np.ndarray,
-                         m: int, grid: int) -> float:
-    """Grid search over (-pi, pi] plus golden-section refinement for one
-    phase, holding the others fixed. Never returns a worse phase than the
-    current theta[m]."""
-    def f_of(phi: float) -> float:
-        t = theta.copy()
-        t[m] = phi
-        return obj.eval(us_point_at(Fr, t))
-
-    phis = -np.pi + 2 * np.pi * (np.arange(1, grid + 1)) / grid
-    vals = np.array([f_of(p) for p in phis])
-    f_cur = f_of(theta[m])
-    i = int(np.argmax(vals))
-    best_phi, best_val = theta[m], f_cur
-    if vals[i] > best_val:
-        best_phi, best_val = phis[i], vals[i]
-    # refine around the best grid point when it strictly beats its neighbors
-    left, right = vals[(i - 1) % grid], vals[(i + 1) % grid]
-    if vals[i] > left and vals[i] > right:
-        step = 2 * np.pi / grid
-        try:
-            res = minimize_scalar(lambda p: -f_of(p),
-                                  bracket=(phis[i] - step, phis[i], phis[i] + step),
-                                  method="golden", options={"xtol": 1e-10})
-            if -res.fun > best_val:
-                best_phi, best_val = float(res.x), float(-res.fun)
-        except ValueError:
-            pass
-    return best_phi
-
-
-def phase_sweep(obj: Objective, Fr: GeodesicFrame, theta0: np.ndarray,
-                cfg: OptimizerConfig) -> np.ndarray:
+def phase_sweep(obj: Objective, Fr: GeodesicFrame, theta0: np.ndarray) -> np.ndarray:
     """One coordinate-ascent pass over the frame phases.
 
     Coordinates are updated in ascending index order, each maximization
@@ -176,13 +171,76 @@ def phase_sweep(obj: Objective, Fr: GeodesicFrame, theta0: np.ndarray,
     theta = np.asarray(theta0, dtype=float).copy()
     if theta.shape != (Fr.n,):
         raise ValueError(f"theta0 has shape {theta.shape}, expected ({Fr.n},)")
-    maximizer = obj.phase_maximizer if callable(obj.phase_maximizer) else None
     for m in range(Fr.n):
-        if maximizer is not None:
-            theta[m] = float(maximizer(Fr, theta, m))
-        else:
-            theta[m] = _scalar_phase_argmax(obj, Fr, theta, m, cfg.fallback_grid)
+        theta[m] = float(obj.phase_maximizer(Fr, theta, m))
     return theta
+
+
+def _ascend(obj: Objective, P0, cfg: OptimizerConfig, step, refused: str):
+    """The ascent loop both optimizers share.
+
+    step(obj, P, F, k, cfg) runs iteration k from the point P of value F
+    and returns (P_new, F_new, residual, grad_norm, core_s): a candidate on
+    the manifold with its value and residual, or P_new = None when it found
+    no acceptable move. A refused move repeats the current point in the
+    trace and ends the run with status `refused`; otherwise the run stops
+    when |F_new - F| < epsilon or at max_iters.
+    """
+    residual = P0.max_residual()
+    if residual > DRIFT_TOL:
+        raise ValueError(f"U0 is off the manifold: not unitary, residual {residual:.3e}")
+    P, F = P0, float(obj.eval(P0))
+    trace = IterationTrace([IterationRecord(
+        k=0, value=F, grad_norm=math.nan, wall_ms=0.0, core_ms=0.0, residual=residual)])
+    for k in range(1, cfg.max_iters + 1):
+        t_start = time.perf_counter()
+        P_new, F_new, res, grad_norm, core_s = step(obj, P, F, k, cfg)
+        wall_ms = (time.perf_counter() - t_start) * 1e3
+        if P_new is None:
+            # P is the point of the last record, so its residual is known
+            trace.records.append(IterationRecord(
+                k=k, value=F, grad_norm=grad_norm, wall_ms=wall_ms,
+                core_ms=core_s * 1e3, residual=trace.records[-1].residual))
+            trace.status = refused
+            return P, trace
+        trace.records.append(IterationRecord(
+            k=k, value=F_new, grad_norm=grad_norm, wall_ms=wall_ms,
+            core_ms=core_s * 1e3, residual=res))
+        P, F_prev, F = P_new, F, F_new
+        if abs(F - F_prev) < cfg.epsilon:
+            trace.status = "converged"
+            return P, trace
+    trace.status = "max_iters"
+    return P, trace
+
+
+def _us_step(obj: Objective, P: UsPoint, F: float, k: int, cfg: OptimizerConfig):
+    """One iteration of optimize_us; core_s times the gradient, projection,
+    frame and factor update, not the sweeps, checks or evaluations."""
+    t_start = time.perf_counter()
+    J = obj.euclid_grad(P)
+    D = us_tangent_project(P, J)
+    grad_norm = D.norm()
+    if cfg.check_gradient and k == 1:
+        _audit_gradient(obj, P, D, J, F)
+    Fr = us_geodesic_frame(P, D)
+    core_s = time.perf_counter() - t_start
+    # the gradient-step seed first; if it overshoots, redo from the current point
+    for theta in (np.mod(Fr.theta + np.pi, 2.0 * np.pi) - np.pi, np.zeros(Fr.n)):
+        for _ in range(cfg.sweeps_per_iter):
+            theta = phase_sweep(obj, Fr, theta)
+        t_update = time.perf_counter()
+        cand = us_point_at(Fr, theta) if np.any(theta) else P
+        core_s += time.perf_counter() - t_update
+        res = cand.max_residual()
+        if res > DRIFT_TOL:
+            cand = us_retract((cand.U + cand.U.T) / 2.0)
+            res = cand.max_residual()
+        F_new = float(obj.eval(cand))
+        if F_new >= F:
+            return cand, F_new, res, grad_norm, core_s
+    # roundoff-level regression from the current point: refuse the move
+    return None, math.nan, math.nan, grad_norm, core_s
 
 
 def optimize_us(obj: Objective, U0: UsPoint,
@@ -199,66 +257,31 @@ def optimize_us(obj: Objective, U0: UsPoint,
 
     Returns the final point and a per-iteration trace with monotone values.
     """
-    cfg = cfg or OptimizerConfig()
-    if U0.max_residual() > DRIFT_TOL:
-        raise ValueError(f"U0 is off the manifold: residual {U0.max_residual():.3e}")
-    P = U0
-    F_prev = float(obj.eval(P))
-    trace = IterationTrace()
-    trace.records.append(IterationRecord(
-        k=0, value=F_prev, grad_norm=math.nan, wall_ms=0.0, core_ms=0.0,
-        sweeps=0, residual=P.max_residual()))
-    for k in range(1, cfg.max_iters + 1):
-        t_start = time.perf_counter()
-        J = obj.euclid_grad(P)
-        D = us_tangent_project(P, J)
-        grad_norm = D.norm()
-        if cfg.check_gradient and k == 1:
-            _audit_gradient(obj, P, D, J, F_prev)
-        Fr = us_geodesic_frame(P, D)
-        core = time.perf_counter() - t_start
+    return _ascend(obj, U0, cfg or OptimizerConfig(), _us_step, refused="converged")
 
-        def swept_point(theta0: np.ndarray):
-            nonlocal core
-            theta = theta0
-            for _ in range(cfg.sweeps_per_iter):
-                theta = phase_sweep(obj, Fr, theta, cfg)
-            t_update = time.perf_counter()
-            if np.any(theta):
-                cand = us_point_at(Fr, theta)
-            else:
-                cand = P  # nothing moved; keep the exact current point
-            core += time.perf_counter() - t_update
-            r = cand.max_residual()
-            if r > DRIFT_TOL:
-                cand = us_retract((cand.U + cand.U.T) / 2.0)
-                r = cand.max_residual()
-            return cand, float(obj.eval(cand)), r
 
-        seed = np.mod(Fr.theta + np.pi, 2.0 * np.pi) - np.pi
-        P_new, F_new, res = swept_point(seed)
-        if F_new < F_prev:
-            # the gradient-step seed overshot; redo from the current point
-            P_new, F_new, res = swept_point(np.zeros(Fr.n))
-        wall_ms = (time.perf_counter() - t_start) * 1e3
-        if F_new < F_prev:
-            # roundoff-level regression: refuse the move and stop
-            trace.records.append(IterationRecord(
-                k=k, value=F_prev, grad_norm=grad_norm, wall_ms=wall_ms,
-                core_ms=core * 1e3, sweeps=cfg.sweeps_per_iter,
-                residual=P.max_residual()))
-            trace.status = "converged"
-            return P, trace
-        P = P_new
-        trace.records.append(IterationRecord(
-            k=k, value=F_new, grad_norm=grad_norm, wall_ms=wall_ms,
-            core_ms=core * 1e3, sweeps=cfg.sweeps_per_iter, residual=res))
-        if abs(F_new - F_prev) < cfg.epsilon:
-            trace.status = "converged"
-            return P, trace
-        F_prev = F_new
-    trace.status = "max_iters"
-    return P, trace
+def _armijo_step(obj: Objective, P: UPoint, F: float, k: int, cfg: OptimizerConfig):
+    """One backtracking iteration of optimize_u_armijo; core_s is the whole step."""
+    t_start = time.perf_counter()
+    J = obj.euclid_grad(P)
+    S = u_tangent_project(P, J)
+    grad_norm = float(np.linalg.norm(S))
+    slope = grad_norm ** 2  # <J, U S>_Re for the projected direction
+    t = 1.0
+    for _ in range(ARMIJO_MAX_BACKTRACKS + 1):
+        cand = u_geodesic(P, S, t)
+        F_new = float(obj.eval(cand))
+        if F_new >= F + ARMIJO_SUFFICIENT_INCREASE * t * slope:
+            break
+        t *= ARMIJO_CONTRACTION
+    else:
+        return None, math.nan, math.nan, grad_norm, time.perf_counter() - t_start
+    res = cand.max_residual()
+    if res > DRIFT_TOL:
+        u, _, vh = np.linalg.svd(cand.U)
+        cand = UPoint(U=u @ vh)
+        res = cand.max_residual()
+    return cand, F_new, res, grad_norm, time.perf_counter() - t_start
 
 
 def optimize_u_armijo(obj: Objective, U0: UPoint,
@@ -271,50 +294,4 @@ def optimize_u_armijo(obj: Objective, U0: UPoint,
     (30). Stops on |F_k - F_{k-1}| < epsilon, max_iters, or line-search
     failure (status "stalled").
     """
-    cfg = cfg or OptimizerConfig()
-    if U0.unitarity_residual() > DRIFT_TOL:
-        raise ValueError(f"U0 is not unitary: residual {U0.unitarity_residual():.3e}")
-    P = U0
-    F_prev = float(obj.eval(P))
-    trace = IterationTrace()
-    trace.records.append(IterationRecord(
-        k=0, value=F_prev, grad_norm=math.nan, wall_ms=0.0, core_ms=0.0,
-        sweeps=0, residual=P.unitarity_residual()))
-    for k in range(1, cfg.max_iters + 1):
-        t_start = time.perf_counter()
-        J = obj.euclid_grad(P)
-        S = u_tangent_project(P, J)
-        grad_norm = float(np.linalg.norm(S))
-        slope = grad_norm ** 2  # <J, U S>_Re for the projected direction
-        t = 1.0
-        accepted = False
-        P_try, F_try = P, F_prev
-        for _ in range(ARMIJO_MAX_BACKTRACKS + 1):
-            P_try = u_geodesic(P, S, t)
-            F_try = float(obj.eval(P_try))
-            if F_try >= F_prev + ARMIJO_SUFFICIENT_INCREASE * t * slope:
-                accepted = True
-                break
-            t *= ARMIJO_CONTRACTION
-        wall_ms = (time.perf_counter() - t_start) * 1e3
-        if not accepted:
-            trace.records.append(IterationRecord(
-                k=k, value=F_prev, grad_norm=grad_norm, wall_ms=wall_ms,
-                core_ms=wall_ms, sweeps=0, residual=P.unitarity_residual()))
-            trace.status = "stalled"
-            return P, trace
-        res = P_try.unitarity_residual()
-        if res > DRIFT_TOL:
-            u, _, vh = np.linalg.svd(P_try.U)
-            P_try = UPoint(U=u @ vh)
-            res = P_try.unitarity_residual()
-        P = P_try
-        trace.records.append(IterationRecord(
-            k=k, value=F_try, grad_norm=grad_norm, wall_ms=wall_ms,
-            core_ms=wall_ms, sweeps=0, residual=res))
-        if abs(F_try - F_prev) < cfg.epsilon:
-            trace.status = "converged"
-            return P, trace
-        F_prev = F_try
-    trace.status = "max_iters"
-    return P, trace
+    return _ascend(obj, U0, cfg or OptimizerConfig(), _armijo_step, refused="stalled")

@@ -123,6 +123,8 @@ def test_criterion_1_manifold_geometry_suite():
     for i, n in enumerate(sizes):
         P = us_random(n, seed=1000 + i)
         assert P.max_residual() <= 1e-9
+        assert np.linalg.norm(P.U @ P.U.conj().T - np.eye(n)) <= 1e-9
+        assert np.linalg.norm(P.U - P.U.T) <= 1e-9
 
         rng = np.random.default_rng(2000 + i)
         R0 = rng.standard_normal((n, n))

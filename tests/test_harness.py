@@ -14,6 +14,7 @@ from unisym.cli import main
 from unisym.harness import (
     BENCH_HEADER,
     CONFIG_DEFAULTS,
+    ERRORS_HEADER,
     RESULTS_HEADER,
     TRACE_HEADER,
     RunSpec,
@@ -166,6 +167,7 @@ class TestRunExperiment:
                     vals = [float(r[1]) for r in trace[1:]]
                     assert np.all(np.diff(vals) >= -1e-12)
         assert not list(result.output_dir.glob("trace_low_cost_*"))
+        assert not (result.output_dir / "errors.csv").exists()
 
         summary = json.loads(result.summary_json.read_text())
         assert set(summary) == {"mo_us", "mo_u_proj", "low_cost"}
@@ -189,6 +191,28 @@ class TestRunExperiment:
             assert [r[:2] for r in a] == [r[:2] for r in b]
         assert (tmp_path / "a" / "summary.json").read_text() == \
                (tmp_path / "b" / "summary.json").read_text()
+
+    def test_numerical_failure_becomes_error_row(self, tmp_path):
+        # at 300 dB on an 8x2 link the rate's Cholesky factor fails for
+        # every method; each trial must fail alone, not end the run
+        spec = tiny_spec(tmp_path / "r", nr=8, nt=2, rho_db=300.0, sweep=[16], trials=2)
+        result = run_experiment(spec)
+        assert [(r.method, r.trial) for r in result.rows] == \
+            [(m, t) for m in spec.methods for t in (0, 1)]
+        for row in result.rows:
+            assert row.converged == "error"
+            assert math.isnan(row.rate_bits)
+            assert row.iterations == 0
+        assert all(result.summary[m]["16"] is None for m in spec.methods)
+        table = read_csv(result.results_csv)
+        assert len(table) == 1 + 6
+        assert all(r[-1] == "error" and r[4] == "nan" for r in table[1:])
+        errors = read_csv(result.output_dir / "errors.csv")
+        assert errors[0] == ERRORS_HEADER
+        assert [r[:4] for r in errors[1:]] == \
+            [[m, "16", str(t), str(7 + t)] for m in spec.methods for t in (0, 1)]
+        assert all("positive definiteness" in r[4] for r in errors[1:])
+        assert not list(result.output_dir.glob("trace_*"))
 
     def test_blocked_run_keeps_iterative_methods(self, tmp_path):
         spec = tiny_spec(tmp_path / "r", sweep=[4], trials=1, direct_blocked=True)
@@ -251,6 +275,14 @@ class TestCli:
         assert len(rows) == 2 * 2
         assert {r[0] for r in rows} == {"mo_us", "low_cost"}
         assert {r[3] for r in rows} == {"5", "6"}
+
+    def test_failed_trials_exit_one(self, tmp_path, capsys):
+        cfg = self.write_cfg(tmp_path, nr=8, nt=2, rho_db=300.0, sweep=[16],
+                             methods=["mo_us", "low_cost"])
+        assert main(["run", str(cfg)]) == 1
+        assert "2 trial(s) failed" in capsys.readouterr().err
+        assert (tmp_path / "out" / "results.csv").exists()
+        assert (tmp_path / "out" / "errors.csv").exists()
 
     def test_bad_config_exits_nonzero(self, tmp_path, capsys):
         cfg = tmp_path / "spec.yaml"

@@ -1,4 +1,4 @@
-"""Kernel-level tests: SVD, symmetric eigendecomposition, Takagi, expm.
+"""Kernel-level tests: symmetric eigendecomposition, Takagi, expm.
 
 Expected values come either from trivial closed forms or from independent
 oracles (residual identities, a scaling-and-squaring Taylor evaluation of
@@ -12,7 +12,6 @@ from unisym.linalg import (
     NumericalError,
     eig_real_symmetric,
     expm_skew_hermitian,
-    svd,
     takagi,
 )
 
@@ -32,37 +31,6 @@ def expm_taylor(S, squarings=20, terms=30):
     for _ in range(squarings):
         out = out @ out
     return out
-
-
-class TestSvd:
-    def test_identity(self):
-        F, sigma, G = svd(np.eye(3, dtype=complex))
-        np.testing.assert_allclose(sigma, [1.0, 1.0, 1.0], atol=1e-14)
-        np.testing.assert_allclose(F @ np.diag(sigma) @ G.conj().T, np.eye(3), atol=1e-14)
-
-    def test_diagonal(self):
-        F, sigma, G = svd(np.diag([3.0, 0.0]).astype(complex))
-        np.testing.assert_allclose(sigma, [3.0, 0.0], atol=1e-14)
-
-    def test_random_reconstruction(self):
-        rng = np.random.default_rng(7)
-        A = crandn(rng, 4, 4)
-        F, sigma, G = svd(A)
-        res = np.linalg.norm(A - F @ np.diag(sigma) @ G.conj().T)
-        assert res < 1e-10 * np.linalg.norm(A)
-        assert np.linalg.norm(F @ F.conj().T - np.eye(4)) < 1e-10
-        assert np.linalg.norm(G @ G.conj().T - np.eye(4)) < 1e-10
-        assert np.all(np.diff(sigma) <= 0)
-
-    def test_non_square_rejected(self):
-        with pytest.raises(ValueError):
-            svd(np.zeros((2, 3), dtype=complex))
-
-    def test_non_finite_rejected(self):
-        A = np.eye(2, dtype=complex)
-        A[0, 0] = np.nan
-        with pytest.raises(ValueError):
-            svd(A)
 
 
 class TestEigRealSymmetric:
@@ -141,8 +109,25 @@ class TestTakagi:
         np.testing.assert_allclose(sigma, np.zeros(3), atol=1e-14)
         assert np.linalg.norm(Q @ Q.conj().T - np.eye(3)) < 1e-10
 
+    def test_rank_deficient_diagonal(self):
+        A = np.diag([3.0, 0.0]).astype(complex)
+        Q, sigma = takagi(A)
+        np.testing.assert_allclose(sigma, [3.0, 0.0], atol=1e-14)
+        np.testing.assert_allclose(Q @ np.diag(sigma) @ Q.T, A, atol=1e-12)
+        assert np.linalg.norm(Q @ Q.conj().T - np.eye(2)) < 1e-10
+
     def test_asymmetric_rejected(self):
         A = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
+        with pytest.raises(ValueError):
+            takagi(A)
+
+    def test_non_square_rejected(self):
+        with pytest.raises(ValueError):
+            takagi(np.zeros((2, 3), dtype=complex))
+
+    def test_non_finite_rejected(self):
+        A = np.eye(2, dtype=complex)
+        A[0, 0] = np.nan
         with pytest.raises(ValueError):
             takagi(A)
 
@@ -151,7 +136,7 @@ class TestTakagi:
         B = crandn(rng, 7, 7)
         A = B + B.T
         _, sigma_t = takagi(A)
-        _, sigma_s, _ = svd(A)
+        sigma_s = np.linalg.svd(A, compute_uv=False)
         np.testing.assert_allclose(sigma_t, sigma_s, atol=1e-10 * sigma_s[0])
 
 

@@ -14,7 +14,7 @@ from unisym.manifold import (
     RetractionNonUniqueWarning,
     TangentDirection,
     UPoint,
-    point_from_factor,
+    UsPoint,
     u_geodesic,
     u_random,
     u_tangent_project,
@@ -68,6 +68,8 @@ class TestUsRandom:
     def test_invariants(self):
         P = us_random(16, seed=7)
         assert P.max_residual() < 1e-10
+        assert np.linalg.norm(P.U @ P.U.conj().T - np.eye(16)) < 1e-10
+        assert np.linalg.norm(P.U - P.U.T) < 1e-10
 
     def test_deterministic(self):
         a = us_random(8, seed=42)
@@ -89,7 +91,7 @@ class TestUsTangentProject:
         rng = np.random.default_rng(2)
         B = rng.standard_normal((3, 3))
         R0 = (B + B.T) / 2
-        P = point_from_factor(np.eye(3, dtype=complex))
+        P = UsPoint(Q=np.eye(3, dtype=complex))
         D = us_tangent_project(P, 1j * R0)
         np.testing.assert_allclose(D.R, R0, atol=1e-13)
 
@@ -148,7 +150,7 @@ class TestGeodesic:
             assert np.linalg.norm(P2.U - P.U) < 1e-12
 
     def test_scalar_geodesic(self):
-        P = point_from_factor(np.ones((1, 1), dtype=complex))
+        P = UsPoint(Q=np.ones((1, 1), dtype=complex))
         Fr = us_geodesic_frame(P, TangentDirection(R=np.array([[np.pi]])))
         for mu in (0.25, 0.5, 1.0):
             P2 = us_point_at(Fr, Fr.theta * mu)
@@ -184,7 +186,7 @@ class TestUsPointAt:
         assert np.linalg.norm(P2.U - Fr.QR @ Fr.QR.T) < 1e-14
 
     def test_scalar(self):
-        Fr_ = us_geodesic_frame(point_from_factor(np.ones((1, 1), dtype=complex)),
+        Fr_ = us_geodesic_frame(UsPoint(Q=np.ones((1, 1), dtype=complex)),
                                 TangentDirection(R=np.zeros((1, 1))))
         P = us_point_at(Fr_, np.array([np.pi / 2]))
         np.testing.assert_allclose(P.U, [[1j]], atol=1e-14)
@@ -197,6 +199,8 @@ class TestUsPointAt:
         phases = rng.uniform(-np.pi, np.pi, size=7)
         P2 = us_point_at(Fr, phases)
         assert P2.max_residual() < 1e-9
+        assert np.linalg.norm(P2.U @ P2.U.conj().T - np.eye(7)) < 1e-9
+        assert np.linalg.norm(P2.U - P2.U.T) < 1e-9
         # re-factorizing U reproduces it
         P3 = us_retract(P2.U)
         assert np.linalg.norm(P3.U - P2.U) < 1e-9
@@ -285,4 +289,4 @@ class TestUnitaryHelpers:
         B = crandn(rng, 4, 4)
         S = (B - B.conj().T) / 2
         P2 = u_geodesic(P, S, 0.7)
-        assert P2.unitarity_residual() < 1e-10
+        assert P2.max_residual() < 1e-10
