@@ -9,6 +9,7 @@ nats / ln 2).
 
 from __future__ import annotations
 
+import cmath
 import math
 import warnings
 from dataclasses import dataclass, replace
@@ -169,11 +170,18 @@ def gen_channels(sc: Scenario, seed) -> ChannelSet:
 
 
 def h_eq(ch: ChannelSet, Theta) -> np.ndarray:
-    """Equivalent end-to-end channel Hd + F Theta G^H."""
-    U = as_matrix(Theta)
-    if U.shape != (ch.m, ch.m):
-        raise ValueError(f"Theta has shape {U.shape}, expected ({ch.m}, {ch.m})")
-    return ch.Hd + ch.F @ U @ ch.G.conj().T
+    """Equivalent end-to-end channel Hd + F Theta G^H.
+
+    A UsPoint enters through its factor, as Hd + (F Q)(G^* Q)^T, so the
+    m x m matrix U = Q Q^T is never formed.
+    """
+    factor = isinstance(Theta, UsPoint)
+    A = Theta.Q if factor else as_matrix(Theta)
+    if A.shape != (ch.m, ch.m):
+        raise ValueError(f"Theta has shape {A.shape}, expected ({ch.m}, {ch.m})")
+    if factor:
+        return ch.Hd + (ch.F @ A) @ (ch.G.conj() @ A).T
+    return ch.Hd + ch.F @ A @ ch.G.conj().T
 
 
 def rate(ch: ChannelSet, Theta, rho: float) -> float:
@@ -210,37 +218,39 @@ def euclid_grad(ch: ChannelSet, Theta, rho: float) -> np.ndarray:
     return 2.0 * rho * (ch.F.conj().T @ X @ ch.G)
 
 
-def _phase_argmax(Hd: np.ndarray, Uc: np.ndarray, Wc: np.ndarray,
-                  theta: np.ndarray, m: int, rho: float) -> float:
+def _phase_step(C: np.ndarray, u: np.ndarray, wc: np.ndarray, base: np.ndarray,
+                rho: float, phi: float) -> float:
     """Optimal phase of one frame axis with the others held fixed.
 
-    With u, w the m-th columns of Uc = F QR and Wc = G* QR, the varying
-    part of the channel is e^{j phi} u w^T on top of C (direct link plus
-    the other axes at their current phases). The determinant reduces to
+    With u, w the axis's columns of F QR and G^* QR, the varying part of
+    the channel is e^{j phi} u w^T on top of C (direct link plus the other
+    axes at their current phases). The determinant reduces to
     const + ln(|1 + alpha e^{j phi}|^2 - kappa), maximized at -arg(alpha).
+    alpha and kappa come from one solve of the nr x nr matrix
+    I + rho (C C^H + ||w||^2 u u^H) against [u, rho C w^*]; base is its
+    constant part I + rho ||w||^2 u u^H and wc = w^*. A flat axis
+    (alpha ~ 0) keeps phi.
     """
-    u = Uc[:, m]
-    w = Wc[:, m]
-    ph = np.exp(1j * theta)
-    ph[m] = 0.0
-    C = Hd + (Uc * ph[np.newaxis, :]) @ Wc.T
-    nr = Hd.shape[0]
-    Mmat = np.eye(nr) + rho * (C @ C.conj().T
-                               + float(np.real(w.conj() @ w)) * np.outer(u, u.conj()))
-    cho = cho_factor((Mmat + Mmat.conj().T) / 2.0, lower=True)
-    ctil = rho * (C @ w.conj())
-    x_u = cho_solve(cho, u)
-    x_c = cho_solve(cho, ctil)
-    alpha = complex(ctil.conj() @ x_u)
-    kappa = float(np.real(ctil.conj() @ x_c)) * float(np.real(u.conj() @ x_u))
+    rC = rho * C
+    B = np.array((u, rC @ wc))
+    X = np.linalg.solve(base + rC @ C.conj().T, B.T)
+    # rows u^H, ctil^H times columns x_u, x_c
+    (ux_u, _), (alpha, cx_c) = (B.conj() @ X).tolist()
+    kappa = cx_c.real * ux_u.real
     margin = (1.0 - abs(alpha)) ** 2 - kappa
-    if margin <= 0.0:
+    if not margin > 0.0:
         raise NumericalError(
             f"per-phase determinant term lost positivity: margin {margin:.3e} "
             f"(|alpha|={abs(alpha):.3e}, kappa={kappa:.3e})")
     if abs(alpha) < 1e-14:
-        return float(theta[m])
-    return float(-np.angle(alpha))
+        return phi
+    return -cmath.phase(alpha)
+
+
+def _rank_one_base(u: np.ndarray, w: np.ndarray, rho: float) -> np.ndarray:
+    """I + rho ||w||^2 u u^H for each row pair of u (k x nr) and w (k x nt)."""
+    ww = np.einsum("ij,ij->i", w.conj(), w).real
+    return np.eye(u.shape[1]) + (rho * ww)[:, None, None] * (u[:, :, None] * u.conj()[:, None, :])
 
 
 def per_phase_opt(ch: ChannelSet, Fr: GeodesicFrame, theta: np.ndarray,
@@ -259,16 +269,13 @@ class RateObjective(Objective):
     """Achievable-rate objective over the surface response.
 
     Usable both on the unitary-symmetric manifold (with the closed-form
-    phase maximizer) and on the plain unitary manifold for the projection
-    baseline. A single instance caches per-frame products and is meant
-    for one optimization run at a time; concurrent runs should each own
-    an instance.
+    phase maximizer and sweep) and on the plain unitary manifold for the
+    projection baseline.
     """
 
     def __init__(self, channels: ChannelSet, rho: float):
         self.channels = channels
         self.rho = float(rho)
-        self._frame_cache: tuple | None = None
 
     def eval(self, point) -> float:
         return rate(self.channels, point, self.rho)
@@ -277,12 +284,31 @@ class RateObjective(Objective):
         return euclid_grad(self.channels, point, self.rho)
 
     def phase_maximizer(self, Fr: GeodesicFrame, theta: np.ndarray, m: int) -> float:
-        cache = self._frame_cache
-        if cache is None or cache[0] is not Fr:
-            cache = (Fr, self.channels.F @ Fr.QR, self.channels.G.conj() @ Fr.QR)
-            self._frame_cache = cache
-        return _phase_argmax(self.channels.Hd, cache[1], cache[2],
-                             np.asarray(theta, dtype=float), m, self.rho)
+        ch = self.channels
+        Uc, Wc = ch.F @ Fr.QR, ch.G.conj() @ Fr.QR
+        ph = np.exp(1j * np.asarray(theta, dtype=float))
+        ph[m] = 0.0
+        C = ch.Hd + (Uc * ph) @ Wc.T
+        u, w = Uc[:, m], Wc[:, m]
+        return _phase_step(C, u, w.conj(), _rank_one_base(u[None], w[None], self.rho)[0],
+                           self.rho, float(theta[m]))
+
+    def sweep(self, Fr: GeodesicFrame, theta: np.ndarray) -> np.ndarray:
+        """The closed-form pass at O(nr^2 nt) per phase: the channel H is
+        built once and kept current by removing and re-adding each axis's
+        rank-one term u w^T, with one fresh nr x nr solve per phase."""
+        ch = self.channels
+        Ut = (ch.F @ Fr.QR).T.copy()           # row m: u of axis m
+        Wt = (ch.G.conj() @ Fr.QR).T.copy()    # row m: w of axis m
+        UW = Ut[:, :, None] * Wt[:, None, :]
+        base = _rank_one_base(Ut, Wt, self.rho)
+        Wct = Wt.conj()
+        H = ch.Hd + (Ut.T * np.exp(1j * theta)) @ Wt
+        for m in range(Fr.n):
+            C = H - cmath.exp(1j * theta[m]) * UW[m]
+            theta[m] = _phase_step(C, Ut[m], Wct[m], base[m], self.rho, theta[m])
+            H = C + cmath.exp(1j * theta[m]) * UW[m]
+        return theta
 
 
 def low_cost_bdris(ch: ChannelSet) -> UsPoint:

@@ -1,8 +1,8 @@
 """Command-line entry point: `unisym run <spec-file>` executes a
 Monte-Carlo method comparison, `unisym bench <spec-file>` times the
 iterative methods. Flags override the corresponding config keys. Exit
-status: 0 on success, 1 when a `run` finished with failed trials, 2 on a
-bad config or an unreadable file.
+status: 0 on success, 1 when a `run` or `bench` finished with failed
+trials, 2 on a bad config or an unreadable file.
 """
 
 from __future__ import annotations
@@ -70,9 +70,15 @@ def main(argv=None) -> int:
             rows, path = bench(spec)
             for r in rows:
                 print(f"{r.method:10s} M={r.M:<4d} "
-                      f"median iter {r.median_iter_ms:.3f} ms "
+                      f"median iter {r.median_iter_ms:.3f} ms core, "
+                      f"{r.median_wall_ms:.3f} ms wall "
                       f"(total {r.total_ms:.0f} ms)")
             print(f"bench: {path}")
+            failed = sum(r.failed for r in rows)
+            if failed:
+                print(f"error: {failed} trial(s) failed with a numerical error; "
+                      f"see the failed column of {path}", file=sys.stderr)
+                return 1
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

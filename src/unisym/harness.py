@@ -7,7 +7,7 @@ Outputs per run: results.csv (one row per method/element-count/trial),
 trace_<method>_<M>_<trial>.csv per iterative run, summary.json with
 per-method mean/std rates, and errors.csv naming each trial that failed
 with a NumericalError. The bench command writes bench.csv with median
-per-iteration core times.
+per-iteration core and whole-iteration times.
 """
 
 from __future__ import annotations
@@ -41,7 +41,7 @@ RESULTS_HEADER = ["method", "M", "trial", "seed", "rate_bits", "iterations",
                   "wall_ms", "converged"]
 TRACE_HEADER = ["k", "F_bits", "wall_ms"]
 ERRORS_HEADER = ["method", "M", "trial", "seed", "error"]
-BENCH_HEADER = ["method", "M", "median_iter_ms", "total_ms"]
+BENCH_HEADER = ["method", "M", "median_iter_ms", "median_wall_ms", "total_ms", "failed"]
 
 CONFIG_DEFAULTS: dict = {
     "nt": 4,
@@ -328,17 +328,26 @@ def run_experiment(spec: RunSpec) -> ExperimentResult:
 class BenchRow:
     method: str
     M: int
-    median_iter_ms: float
+    median_iter_ms: float    # median IterationRecord.core_ms
+    median_wall_ms: float    # median IterationRecord.wall_ms, sweeps included
     total_ms: float
+    failed: int              # trials that raised NumericalError
+
+
+def _median(values: list[float]) -> float:
+    return statistics.median(values) if values else math.nan
 
 
 def bench(spec: RunSpec) -> tuple[list[BenchRow], Path]:
     """Time the iterative methods per element count and write bench.csv.
 
-    For each (method, M) the median per-iteration core time (gradient,
-    tangent projection, eigendecomposition-and-frame, point update) is
-    taken across at least 5 trials, run sequentially. Non-iterative
-    methods have no per-iteration cost and are skipped.
+    For each (method, M), over at least 5 trials run sequentially: the
+    median per-iteration core time (gradient, tangent projection,
+    eigendecomposition-and-frame, point update), the median whole-iteration
+    wall time, and the summed trial time. A trial that raises
+    NumericalError is counted in `failed` and left out of the timings; a
+    cell whose trials all failed has nan timings. Non-iterative methods
+    have no per-iteration cost and are skipped.
     """
     out_dir = Path(spec.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -349,21 +358,29 @@ def bench(spec: RunSpec) -> tuple[list[BenchRow], Path]:
             continue
         for M in spec.sweep:
             sc = spec.scenario.with_elements(M)
-            core_ms: list[float] = []
+            records: list = []
             total = 0.0
+            failed = 0
             for trial in range(trials):
                 ch = gen_channels(sc, seed=spec.seed0 + trial)
                 t0 = time.perf_counter()
-                _, trace = METHODS[method](ch, sc.rho, spec.seed0, trial, spec.optimizer)
+                try:
+                    _, trace = METHODS[method](ch, sc.rho, spec.seed0, trial, spec.optimizer)
+                except NumericalError:
+                    failed += 1
+                    continue
                 total += time.perf_counter() - t0
-                core_ms.extend(r.core_ms for r in trace.records if r.k >= 1)
+                records.extend(r for r in trace.records if r.k >= 1)
             rows.append(BenchRow(method=method, M=M,
-                                 median_iter_ms=statistics.median(core_ms),
-                                 total_ms=total * 1e3))
+                                 median_iter_ms=_median([r.core_ms for r in records]),
+                                 median_wall_ms=_median([r.wall_ms for r in records]),
+                                 total_ms=total * 1e3 if records else math.nan,
+                                 failed=failed))
     bench_csv = out_dir / "bench.csv"
     with open(bench_csv, "w", newline="", encoding="utf-8") as fh:
         w = csv.writer(fh)
         w.writerow(BENCH_HEADER)
         for r in rows:
-            w.writerow([r.method, r.M, repr(r.median_iter_ms), repr(r.total_ms)])
+            w.writerow([r.method, r.M, repr(r.median_iter_ms), repr(r.median_wall_ms),
+                        repr(r.total_ms), r.failed])
     return rows, bench_csv

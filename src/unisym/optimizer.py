@@ -49,6 +49,14 @@ class Objective:
     objective over frame phase m holding the others fixed and may never
     decrease the objective; the default is a numerical search, which
     objectives with a closed form override.
+
+    sweep(Fr, theta) is one coordinate-ascent pass over all frame phases in
+    ascending index order, each update holding the others at their
+    already-updated values. It may overwrite theta and returns the swept
+    phases, and it may never decrease the objective. The default loops
+    over phase_maximizer; objectives that can carry state from one phase
+    to the next (the rate objective keeps its channel current by rank-one
+    updates) override it.
     """
 
     def eval(self, point) -> float:
@@ -87,6 +95,11 @@ class Objective:
             except ValueError:
                 pass
         return best_phi
+
+    def sweep(self, Fr: GeodesicFrame, theta: np.ndarray) -> np.ndarray:
+        for m in range(Fr.n):
+            theta[m] = float(self.phase_maximizer(Fr, theta, m))
+        return theta
 
 
 @dataclass
@@ -161,7 +174,8 @@ def _audit_gradient(obj: Objective, P: UsPoint, direction, J, f0: float) -> None
 
 
 def phase_sweep(obj: Objective, Fr: GeodesicFrame, theta0: np.ndarray) -> np.ndarray:
-    """One coordinate-ascent pass over the frame phases.
+    """One coordinate-ascent pass over the frame phases, run by obj.sweep on
+    a copy of theta0.
 
     Coordinates are updated in ascending index order, each maximization
     holding the others at their already-updated values. Each update starts
@@ -171,9 +185,7 @@ def phase_sweep(obj: Objective, Fr: GeodesicFrame, theta0: np.ndarray) -> np.nda
     theta = np.asarray(theta0, dtype=float).copy()
     if theta.shape != (Fr.n,):
         raise ValueError(f"theta0 has shape {theta.shape}, expected ({Fr.n},)")
-    for m in range(Fr.n):
-        theta[m] = float(obj.phase_maximizer(Fr, theta, m))
-    return theta
+    return obj.sweep(Fr, theta)
 
 
 def _ascend(obj: Objective, P0, cfg: OptimizerConfig, step, refused: str):

@@ -11,6 +11,7 @@ import warnings
 
 import numpy as np
 import pytest
+from scipy.linalg import LinAlgError, cho_factor, cho_solve
 from scipy.optimize import minimize_scalar
 
 from unisym.bdris import (
@@ -30,6 +31,7 @@ from unisym.bdris import (
     rate,
     rate_bits,
 )
+from unisym.linalg import NumericalError
 from unisym.manifold import (
     GeodesicFrame,
     RetractionNonUniqueWarning,
@@ -39,7 +41,7 @@ from unisym.manifold import (
     us_retract,
     us_tangent_project,
 )
-from unisym.optimizer import OptimizerConfig, optimize_us
+from unisym.optimizer import OptimizerConfig, optimize_us, phase_sweep
 
 
 def crandn(rng, *shape):
@@ -220,10 +222,15 @@ class TestHEq:
         np.testing.assert_allclose(h_eq(ch, U), expected, atol=1e-12)
 
     def test_point_and_matrix_agree(self):
+        # a point enters through its factor, (F Q)(G^* Q)^T, never forming U
         rng = np.random.default_rng(3)
-        ch = make_channels(rng, 2, 2, 4)
-        P = us_random(4, seed=7)
-        np.testing.assert_array_equal(h_eq(ch, P), h_eq(ch, P.U))
+        for nr, nt, m in ((2, 2, 4), (1, 3, 1), (4, 4, 64), (8, 2, 17)):
+            ch = make_channels(rng, nr, nt, m)
+            P = us_random(m, seed=rng.integers(2**32))
+            expected = ch.Hd + ch.F @ P.U @ ch.G.conj().T
+            got = h_eq(ch, P)
+            assert np.linalg.norm(got - expected) <= 1e-12 * np.linalg.norm(expected)
+            np.testing.assert_array_equal(h_eq(ch, P.U), expected)
 
     def test_dimension_mismatch_rejected(self):
         rng = np.random.default_rng(4)
@@ -464,6 +471,99 @@ class TestRateObjective:
                 t[m] = phi
                 best = max(best, rate_at_phases(ch, Fr, t, rho))
             assert f_chosen >= best - 1e-9
+
+
+def cholesky_phase_argmax(Hd, Uc, Wc, theta, m, rho):
+    """Oracle: the per-phase closed form with the channel C rebuilt from
+    all phases and I + rho (C C^H + ||w||^2 u u^H) factored by Cholesky."""
+    u = Uc[:, m]
+    w = Wc[:, m]
+    ph = np.exp(1j * theta)
+    ph[m] = 0.0
+    C = Hd + (Uc * ph[np.newaxis, :]) @ Wc.T
+    nr = Hd.shape[0]
+    Mmat = np.eye(nr) + rho * (C @ C.conj().T
+                               + float(np.real(w.conj() @ w)) * np.outer(u, u.conj()))
+    cho = cho_factor((Mmat + Mmat.conj().T) / 2.0, lower=True)
+    ctil = rho * (C @ w.conj())
+    x_u = cho_solve(cho, u)
+    x_c = cho_solve(cho, ctil)
+    alpha = complex(ctil.conj() @ x_u)
+    kappa = float(np.real(ctil.conj() @ x_c)) * float(np.real(u.conj() @ x_u))
+    margin = (1.0 - abs(alpha)) ** 2 - kappa
+    if margin <= 0.0:
+        raise NumericalError(f"margin {margin:.3e}")
+    if abs(alpha) < 1e-14:
+        return float(theta[m])
+    return float(-np.angle(alpha))
+
+
+def oracle_sweep(ch, Fr, theta, rho):
+    Uc, Wc = ch.F @ Fr.QR, ch.G.conj() @ Fr.QR
+    theta = np.array(theta, dtype=float)
+    for m in range(Fr.n):
+        theta[m] = cholesky_phase_argmax(ch.Hd, Uc, Wc, theta, m, rho)
+    return theta
+
+
+def seeded_sweep_case(nr, nt, M, rho_db, blocked, seed):
+    """Channels of a scenario, the frame of the gradient at a random point,
+    and the gradient-step phases that seed the optimizer's first sweep."""
+    sc = Scenario(nr=nr, nt=nt, m=M, rho=10.0 ** (rho_db / 10.0), direct_blocked=blocked)
+    ch = gen_channels(sc, seed=seed)
+    P = us_random(M, seed=seed + 1)
+    Fr = us_geodesic_frame(P, us_tangent_project(P, euclid_grad(ch, P, sc.rho)))
+    return ch, sc.rho, Fr, np.mod(Fr.theta + np.pi, 2.0 * np.pi) - np.pi
+
+
+class TestSweepKernel:
+    def test_matches_cholesky_oracle(self):
+        # the incremental kernel against one fresh Cholesky solve per phase
+        seed = 500
+        for nr, nt in ((1, 1), (4, 4), (8, 2), (2, 8)):
+            for M in (1, 2, 3, 17, 64):
+                for rho_db in (0.0, 60.0, 130.0, 160.0, 200.0):
+                    for blocked in (False, True):
+                        seed += 2
+                        ch, rho, Fr, theta0 = seeded_sweep_case(nr, nt, M, rho_db, blocked, seed)
+                        case = (nr, nt, M, rho_db, blocked)
+                        try:
+                            expected = oracle_sweep(ch, Fr, theta0, rho)
+                        except (NumericalError, LinAlgError):
+                            expected = None
+                        try:
+                            got = RateObjective(ch, rho).sweep(Fr, theta0.copy())
+                        except (NumericalError, LinAlgError) as exc:
+                            assert expected is None, f"{case}: kernel raised {exc!r}"
+                            continue
+                        if expected is None:
+                            continue
+                        if rho_db <= 160.0:
+                            assert np.max(np.abs(wrap_angle(got - expected))) <= 1e-9, case
+                        f_got = rate_at_phases(ch, Fr, got, rho)
+                        f_expected = rate_at_phases(ch, Fr, expected, rho)
+                        assert f_got >= f_expected - 1e-6, case
+
+    def test_phase_sweep_runs_the_kernel(self, monkeypatch):
+        ch, rho, Fr, theta0 = seeded_sweep_case(4, 4, 8, 130.0, False, 41)
+        obj = RateObjective(ch, rho)
+        monkeypatch.setattr(RateObjective, "phase_maximizer",
+                            lambda *a: pytest.fail("sweep went through phase_maximizer"))
+        given = theta0.copy()
+        theta = phase_sweep(obj, Fr, theta0)
+        np.testing.assert_array_equal(theta0, given)
+        assert rate_at_phases(ch, Fr, theta, rho) >= rate_at_phases(ch, Fr, theta0, rho)
+
+    def test_margin_guard_raises(self, monkeypatch):
+        # a solution scaled far off makes |1 + alpha e^{j phi}|^2 - kappa negative,
+        # since |alpha|^2 <= kappa (Cauchy-Schwarz in the A^-1 inner product)
+        ch, rho, Fr, theta0 = seeded_sweep_case(4, 4, 8, 130.0, False, 43)
+        solve = np.linalg.solve
+        monkeypatch.setattr(np.linalg, "solve", lambda A, B: 1e8 * solve(A, B))
+        with pytest.raises(NumericalError, match="lost positivity"):
+            RateObjective(ch, rho).sweep(Fr, theta0)
+        with pytest.raises(NumericalError, match="lost positivity"):
+            per_phase_opt(ch, Fr, theta0, 0, rho)
 
 
 class TestLowCost:

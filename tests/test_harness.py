@@ -214,6 +214,18 @@ class TestRunExperiment:
         assert all("positive definiteness" in r[4] for r in errors[1:])
         assert not list(result.output_dir.glob("trace_*"))
 
+    def test_per_phase_margin_failure_becomes_error_row(self, tmp_path, monkeypatch):
+        # a corrupted per-phase solve trips the sweep's margin guard
+        solve = np.linalg.solve
+        monkeypatch.setattr(np.linalg, "solve", lambda A, B: 1e8 * solve(A, B))
+        spec = tiny_spec(tmp_path / "r", methods=["mo_us"], trials=1)
+        result = run_experiment(spec)
+        assert [r.converged for r in result.rows] == ["error"]
+        assert math.isnan(result.rows[0].rate_bits)
+        errors = read_csv(result.output_dir / "errors.csv")
+        assert errors[1][:4] == ["mo_us", "4", "0", "7"]
+        assert "per-phase determinant term lost positivity" in errors[1][4]
+
     def test_blocked_run_keeps_iterative_methods(self, tmp_path):
         spec = tiny_spec(tmp_path / "r", sweep=[4], trials=1, direct_blocked=True)
         result = run_experiment(spec)
@@ -229,9 +241,23 @@ class TestBench:
         rows, path = bench(spec)
         assert [(r.method, r.M) for r in rows] == [("mo_us", 4), ("mo_u_proj", 4)]
         assert all(r.median_iter_ms > 0 and r.total_ms > 0 for r in rows)
+        # core time is part of each iteration's wall time
+        assert all(r.median_wall_ms >= r.median_iter_ms for r in rows)
+        assert all(r.failed == 0 for r in rows)
         table = read_csv(path)
         assert table[0] == BENCH_HEADER
         assert len(table) == 3
+
+    def test_numerical_failure_is_counted_not_raised(self, tmp_path):
+        # at 300 dB on an 8x2 link every trial fails in the rate's Cholesky
+        spec = tiny_spec(tmp_path / "b", nr=8, nt=2, rho_db=300.0, sweep=[16],
+                         methods=["mo_us"])
+        rows, path = bench(spec)
+        assert [(r.method, r.M, r.failed) for r in rows] == [("mo_us", 16, 5)]
+        assert math.isnan(rows[0].median_iter_ms)
+        assert math.isnan(rows[0].median_wall_ms)
+        assert math.isnan(rows[0].total_ms)
+        assert read_csv(path)[1] == ["mo_us", "16", "nan", "nan", "nan", "5"]
 
     def test_single_element_surface_runs(self, tmp_path):
         spec = tiny_spec(tmp_path / "b", sweep=[1], trials=1, methods=["mo_us"])
@@ -262,7 +288,14 @@ class TestCli:
     def test_bench_subcommand(self, tmp_path, capsys):
         cfg = self.write_cfg(tmp_path, trials=5)
         assert main(["bench", str(cfg)]) == 0
-        assert "median iter" in capsys.readouterr().out
+        out = capsys.readouterr().out
+        assert "median iter" in out and "ms wall" in out
+        assert (tmp_path / "out" / "bench.csv").exists()
+
+    def test_bench_failed_trials_exit_one(self, tmp_path, capsys):
+        cfg = self.write_cfg(tmp_path, nr=8, nt=2, rho_db=300.0, sweep=[16])
+        assert main(["bench", str(cfg)]) == 1
+        assert "5 trial(s) failed" in capsys.readouterr().err
         assert (tmp_path / "out" / "bench.csv").exists()
 
     def test_flag_overrides(self, tmp_path):
