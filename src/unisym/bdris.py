@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import cmath
 import math
-import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -20,7 +19,6 @@ from scipy.linalg import cho_factor, cho_solve
 from .linalg import NumericalError
 from .manifold import (
     GeodesicFrame,
-    RetractionNonUniqueWarning,
     UPoint,
     UsPoint,
     _crandn,
@@ -63,11 +61,12 @@ class Scenario:
     def __post_init__(self):
         if min(self.nt, self.nr, self.m) < 1:
             raise ValueError("antenna and element counts must be >= 1")
-        if self.rho <= 0:
+        # negated comparisons, so that NaN fails too
+        if not self.rho > 0:
             raise ValueError("rho must be > 0")
-        if self.alpha_ris <= 0 or self.alpha_direct <= 0:
+        if not (self.alpha_ris > 0 and self.alpha_direct > 0):
             raise ValueError("path-loss exponents must be > 0")
-        if self.k_rician < 0:
+        if not self.k_rician >= 0:
             raise ValueError("k_rician must be >= 0")
         for name in ("tx_pos", "rx_pos", "ris_pos"):
             p = getattr(self, name)
@@ -213,7 +212,10 @@ def euclid_grad(ch: ChannelSet, Theta, rho: float) -> np.ndarray:
         raise ValueError("rho must be > 0")
     H = h_eq(ch, Theta)
     E = np.eye(H.shape[0]) + rho * (H @ H.conj().T)
-    cho = cho_factor((E + E.conj().T) / 2.0, lower=True)
+    try:
+        cho = cho_factor((E + E.conj().T) / 2.0, lower=True)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalError(f"gradient argument lost positive definiteness: {exc}") from exc
     X = cho_solve(cho, H)
     return 2.0 * rho * (ch.F.conj().T @ X @ ch.G)
 
@@ -316,15 +318,13 @@ def low_cost_bdris(ch: ChannelSet) -> UsPoint:
 
     Needs a live direct link; raises InapplicableMethodError when Hd = 0.
     The retracted matrix has rank at most 2 min(nr, nt), so for m beyond
-    that the nearest point is inherently non-unique; the retraction's
-    non-uniqueness warning is expected and silenced here.
+    that the nearest point is inherently non-unique and the retraction
+    returns one valid choice.
     """
     if not np.any(ch.Hd):
         raise InapplicableMethodError("low-cost surface needs a direct link (Hd is zero)")
     A = ch.F.conj().T @ ch.Hd @ ch.G
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RetractionNonUniqueWarning)
-        return us_retract(A + A.T)
+    return us_retract(A + A.T)
 
 
 def mo_u_proj_baseline(ch: ChannelSet, rho: float, U0: UPoint,
@@ -337,7 +337,4 @@ def mo_u_proj_baseline(ch: ChannelSet, rho: float, U0: UPoint,
     """
     obj = RateObjective(ch, rho)
     Pu, trace = optimize_u_armijo(obj, U0, cfg)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RetractionNonUniqueWarning)
-        P = us_retract(Pu.U + Pu.U.T)
-    return P, trace
+    return us_retract(Pu.U + Pu.U.T), trace

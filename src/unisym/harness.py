@@ -16,6 +16,7 @@ import csv
 import json
 import math
 import statistics
+import sys
 import time
 from dataclasses import dataclass
 from pathlib import Path
@@ -61,7 +62,6 @@ CONFIG_DEFAULTS: dict = {
     "methods": ["mo_us", "mo_u_proj", "low_cost"],
     "epsilon": 1e-3,
     "max_iters": 100,
-    "sweeps_per_iter": 1,
     "output_dir": "results",
 }
 
@@ -105,23 +105,29 @@ def _expect_int(raw: dict, key: str) -> int:
     return v
 
 
-def _expect_number(raw: dict, key: str) -> float:
-    v = raw[key]
-    if isinstance(v, bool) or not isinstance(v, (int, float)):
-        raise ValueError(f"config key {key!r} must be a number, got {v!r}")
+def _number(key: str, v) -> float:
+    # the bound also rejects NaN and integers too large for a float
+    if isinstance(v, bool) or not isinstance(v, (int, float)) or not abs(v) <= sys.float_info.max:
+        raise ValueError(f"config key {key!r} must be a finite number, got {v!r}")
     return float(v)
+
+
+def _expect_number(raw: dict, key: str) -> float:
+    return _number(key, raw[key])
 
 
 def _expect_position(raw: dict, key: str) -> tuple[float, float, float]:
     v = raw[key]
     if not isinstance(v, (list, tuple)) or len(v) != 3:
         raise ValueError(f"config key {key!r} must be a 3-entry coordinate list")
-    return tuple(float(x) for x in v)
+    return tuple(_number(key, x) for x in v)
 
 
 def build_run_spec(values: dict) -> RunSpec:
     """RunSpec from a flat key-value mapping; every key optional, unknown
-    keys rejected. rho is given in dB (rho_db) and converted to linear."""
+    keys rejected, and every number finite. rho is given in dB (rho_db)
+    and converted to linear. A bad value raises ValueError naming its key,
+    before anything is run or written."""
     unknown = sorted(set(values) - set(CONFIG_DEFAULTS))
     if unknown:
         raise ValueError(
@@ -143,7 +149,16 @@ def build_run_spec(values: dict) -> RunSpec:
     if not isinstance(raw["output_dir"], str):
         raise ValueError("config key 'output_dir' must be a string")
 
-    sweep = tuple(int(m) for m in sweep)
+    if any(isinstance(m, bool) or not isinstance(m, int) for m in sweep):
+        raise ValueError(f"config key 'sweep' must list integer element counts, got {sweep!r}")
+    sweep = tuple(sweep)
+    rho_db = _expect_number(raw, "rho_db")
+    try:
+        rho = 10.0 ** (rho_db / 10.0)
+    except OverflowError:
+        rho = math.inf
+    if not 0.0 < rho < math.inf:
+        raise ValueError(f"config key 'rho_db' must give a finite SNR > 0, got {rho_db!r}")
     scenario = Scenario(
         nt=_expect_int(raw, "nt"),
         nr=_expect_int(raw, "nr"),
@@ -154,14 +169,13 @@ def build_run_spec(values: dict) -> RunSpec:
         k_rician=_expect_number(raw, "k_rician"),
         alpha_ris=_expect_number(raw, "alpha_ris"),
         alpha_direct=_expect_number(raw, "alpha_direct"),
-        rho=10.0 ** (_expect_number(raw, "rho_db") / 10.0),
+        rho=rho,
         pl0_db=_expect_number(raw, "pl0_db"),
         direct_blocked=raw["direct_blocked"],
     )
     optimizer = OptimizerConfig(
         epsilon=_expect_number(raw, "epsilon"),
         max_iters=_expect_int(raw, "max_iters"),
-        sweeps_per_iter=_expect_int(raw, "sweeps_per_iter"),
     )
     return RunSpec(
         scenario=scenario,

@@ -37,20 +37,20 @@ def _square(A: np.ndarray, name: str = "A") -> np.ndarray:
     return A
 
 
-def eig_real_symmetric(R: np.ndarray, sym_tol: float = 1e-10) -> RealSymEig:
+def eig_real_symmetric(R: np.ndarray) -> RealSymEig:
     """Eigendecomposition R = V diag(lam) V^T of a real symmetric matrix.
 
     Eigenvalues are returned in descending order with V real orthogonal.
-    The input is symmetrized as (R + R^T)/2 before factoring; asymmetry
-    beyond sym_tol (relative) is a contract violation.
+    The input is symmetrized as (R + R^T)/2 before factoring; an imaginary
+    part or asymmetry beyond 1e-10 (relative) is a contract violation.
     """
     R = _square(np.asarray(R), "R")
     if np.iscomplexobj(R):
-        if np.max(np.abs(R.imag)) > sym_tol * max(1.0, np.linalg.norm(R)):
+        if np.max(np.abs(R.imag)) > 1e-10 * max(1.0, np.linalg.norm(R)):
             raise ValueError("R must be real")
         R = R.real
     scale = max(1.0, np.linalg.norm(R))
-    if np.linalg.norm(R - R.T) > sym_tol * scale:
+    if np.linalg.norm(R - R.T) > 1e-10 * scale:
         raise ValueError("R is not symmetric within tolerance")
     w, V = np.linalg.eigh((R + R.T) / 2.0)
     return RealSymEig(V=V[:, ::-1].copy(), lam=w[::-1].copy())
@@ -88,28 +88,26 @@ def _sigma_groups(sigma: np.ndarray, rel_gap: float) -> list[slice]:
     return groups
 
 
-def takagi(A: np.ndarray, sym_tol: float = 1e-8, group_tol: float = 1e-8,
-           unitary_tol: float = 1e-8) -> TakagiFactors:
+def takagi(A: np.ndarray) -> TakagiFactors:
     """Takagi factorization A = Q diag(sigma) Q^T of a complex symmetric matrix.
 
     Built from the SVD A = F diag(sigma) G^H as Q = F (F^H G*)^(1/2).
     F^H G* is diagonal when the singular values are distinct; repeated or
-    numerically close singular values are grouped (relative gap group_tol)
+    numerically close singular values are grouped (relative gap 1e-8)
     and the square root is taken blockwise on each group, where F^H G* is
     unitary, with the principal branch.
 
     Args:
-        A: square complex symmetric matrix (symmetrized internally).
-        sym_tol: allowed relative asymmetry of the input.
-        group_tol: relative gap under which singular values share a block.
-        unitary_tol: residual above which the result is rejected.
+        A: square complex symmetric matrix (symmetrized internally); a
+            relative asymmetry above 1e-8 is rejected with ValueError.
 
     Returns:
-        TakagiFactors(Q, sigma) with Q unitary and sigma descending.
+        TakagiFactors(Q, sigma) with Q unitary and sigma descending. A
+        factor whose unitarity residual exceeds 1e-8 raises NumericalError.
     """
     A = _square(A)
     nrm = np.linalg.norm(A)
-    if np.linalg.norm(A - A.T) > sym_tol * max(1.0, nrm):
+    if np.linalg.norm(A - A.T) > 1e-8 * max(1.0, nrm):
         raise ValueError("A is not symmetric within tolerance")
     A = (A + A.T) / 2.0
     try:
@@ -119,26 +117,27 @@ def takagi(A: np.ndarray, sym_tol: float = 1e-8, group_tol: float = 1e-8,
     W = F.conj().T @ Gh.T
     n = A.shape[0]
     root = np.zeros((n, n), dtype=complex)
-    for ix in _sigma_groups(sigma, group_tol):
+    for ix in _sigma_groups(sigma, 1e-8):
         root[ix, ix] = _block_principal_sqrt(W[ix, ix])
     Q = F @ root
     unit_res = np.linalg.norm(Q @ Q.conj().T - np.eye(n))
-    if unit_res > unitary_tol:
+    if unit_res > 1e-8:
         raise NumericalError(
             f"Takagi factor lost unitarity: residual {unit_res:.3e} (n={n}, "
             f"sigma range [{sigma[-1] if n else 0:.3e}, {sigma[0] if n else 0:.3e}])")
     return TakagiFactors(Q=Q, sigma=sigma)
 
 
-def expm_skew_hermitian(S: np.ndarray, skew_tol: float = 1e-10) -> np.ndarray:
+def expm_skew_hermitian(S: np.ndarray) -> np.ndarray:
     """exp(S) for skew-Hermitian S, via the Hermitian eigendecomposition of -jS.
 
     With -jS = W diag(d) W^H, returns W diag(e^{jd}) W^H, which is unitary
-    by construction.
+    by construction. A relative skew-Hermitian defect above 1e-10 is a
+    contract violation.
     """
     S = _square(S, "S")
     scale = max(1.0, np.linalg.norm(S))
-    if np.linalg.norm(S + S.conj().T) > skew_tol * scale:
+    if np.linalg.norm(S + S.conj().T) > 1e-10 * scale:
         raise ValueError("S is not skew-Hermitian within tolerance")
     H = -1j * S
     d, W = np.linalg.eigh((H + H.conj().T) / 2.0)

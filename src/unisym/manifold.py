@@ -14,7 +14,6 @@ baseline (tangent projection and geodesic steps on U(n)) live here too.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -25,12 +24,6 @@ from .linalg import eig_real_symmetric, expm_skew_hermitian, takagi
 # Residual level above which a factor is considered stale and the point is
 # refreshed by re-factorization.
 DRIFT_TOL = 1e-8
-
-
-class RetractionNonUniqueWarning(UserWarning):
-    """The retracted matrix had (near-)zero singular values, so the closest
-    unitary symmetric matrix may not be unique. A valid choice is still
-    returned."""
 
 
 def _unitarity_residual(A: np.ndarray) -> float:
@@ -190,21 +183,14 @@ def us_point_at(Fr: GeodesicFrame, phases: np.ndarray) -> UsPoint:
     return UsPoint(Q=Fr.QR * np.exp(0.5j * phases)[np.newaxis, :])
 
 
-def us_retract(A: np.ndarray, singular_tol: float = 1e-12) -> UsPoint:
+def us_retract(A: np.ndarray) -> UsPoint:
     """Closest point of Us to a complex symmetric matrix A (Frobenius norm).
 
     Computed as Q Q^T from the Takagi factorization A = Q diag(sigma) Q^T.
-    When sigma_min <= singular_tol * sigma_max the nearest point may not be
-    unique; a RetractionNonUniqueWarning is emitted and one valid choice
-    returned.
+    When A is rank-deficient the nearest point is not unique; one valid
+    choice is returned.
     """
-    Q, sigma = takagi(A)
-    if sigma.size and sigma[-1] <= singular_tol * sigma[0]:
-        warnings.warn(
-            f"retraction target has sigma_min={sigma[-1]:.3e} <= "
-            f"{singular_tol:g}*sigma_max; nearest point may not be unique",
-            RetractionNonUniqueWarning, stacklevel=2)
-    return UsPoint(Q=Q)
+    return UsPoint(Q=takagi(A).Q)
 
 
 def u_tangent_project(P: UPoint, J: np.ndarray) -> np.ndarray:

@@ -35,8 +35,6 @@ from .manifold import (
 ARMIJO_CONTRACTION = 0.5
 ARMIJO_SUFFICIENT_INCREASE = 1e-4
 ARMIJO_MAX_BACKTRACKS = 30
-# Grid size of the default (numerical) phase maximizer.
-PHASE_GRID = 360
 
 
 class Objective:
@@ -45,17 +43,14 @@ class Objective:
     eval(point) returns the objective value in nats; euclid_grad(point)
     returns the ambient-space gradient J, consistent with eval under the
     real trace inner product (directional derivative along a tangent B is
-    Re tr(J^H B)). phase_maximizer(Fr, theta, m) returns an argmax of the
-    objective over frame phase m holding the others fixed and may never
-    decrease the objective; the default is a numerical search, which
-    objectives with a closed form override.
+    Re tr(J^H B)).
 
     sweep(Fr, theta) is one coordinate-ascent pass over all frame phases in
     ascending index order, each update holding the others at their
     already-updated values. It may overwrite theta and returns the swept
-    phases, and it may never decrease the objective. The default loops
-    over phase_maximizer; objectives that can carry state from one phase
-    to the next (the rate objective keeps its channel current by rank-one
+    phases, and it may never decrease the objective. The default maximizes
+    each phase by a numerical search; objectives with a closed form (the
+    rate objective, which also keeps its channel current by rank-one
     updates) override it.
     """
 
@@ -65,57 +60,55 @@ class Objective:
     def euclid_grad(self, point) -> np.ndarray:
         raise NotImplementedError
 
-    def phase_maximizer(self, Fr: GeodesicFrame, theta: np.ndarray, m: int) -> float:
-        """Grid search over (-pi, pi] plus golden-section refinement for
-        one phase, holding the others fixed. Never returns a worse phase
-        than the current theta[m]."""
-        def f_of(phi: float) -> float:
-            t = theta.copy()
-            t[m] = phi
-            return self.eval(us_point_at(Fr, t))
-
-        grid = PHASE_GRID
-        phis = -np.pi + 2 * np.pi * (np.arange(1, grid + 1)) / grid
-        vals = np.array([f_of(p) for p in phis])
-        f_cur = f_of(theta[m])
-        i = int(np.argmax(vals))
-        best_phi, best_val = theta[m], f_cur
-        if vals[i] > best_val:
-            best_phi, best_val = phis[i], vals[i]
-        # refine around the best grid point when it strictly beats its neighbors
-        left, right = vals[(i - 1) % grid], vals[(i + 1) % grid]
-        if vals[i] > left and vals[i] > right:
-            step = 2 * np.pi / grid
-            try:
-                res = minimize_scalar(lambda p: -f_of(p),
-                                      bracket=(phis[i] - step, phis[i], phis[i] + step),
-                                      method="golden", options={"xtol": 1e-10})
-                if -res.fun > best_val:
-                    best_phi, best_val = float(res.x), float(-res.fun)
-            except ValueError:
-                pass
-        return best_phi
-
     def sweep(self, Fr: GeodesicFrame, theta: np.ndarray) -> np.ndarray:
         for m in range(Fr.n):
-            theta[m] = float(self.phase_maximizer(Fr, theta, m))
+            theta[m] = _search_phase(self, Fr, theta, m)
         return theta
+
+
+def _search_phase(obj: Objective, Fr: GeodesicFrame, theta: np.ndarray, m: int) -> float:
+    """Search on a 360-point grid over (-pi, pi] plus golden-section
+    refinement for one phase, holding the others fixed. Never returns a
+    worse phase than the current theta[m]."""
+    def f_of(phi: float) -> float:
+        t = theta.copy()
+        t[m] = phi
+        return obj.eval(us_point_at(Fr, t))
+
+    grid = 360
+    phis = -np.pi + 2 * np.pi * (np.arange(1, grid + 1)) / grid
+    vals = np.array([f_of(p) for p in phis])
+    f_cur = f_of(theta[m])
+    i = int(np.argmax(vals))
+    best_phi, best_val = theta[m], f_cur
+    if vals[i] > best_val:
+        best_phi, best_val = phis[i], vals[i]
+    # refine around the best grid point when it strictly beats its neighbors
+    left, right = vals[(i - 1) % grid], vals[(i + 1) % grid]
+    if vals[i] > left and vals[i] > right:
+        step = 2 * np.pi / grid
+        try:
+            res = minimize_scalar(lambda p: -f_of(p),
+                                  bracket=(phis[i] - step, phis[i], phis[i] + step),
+                                  method="golden", options={"xtol": 1e-10})
+            if -res.fun > best_val:
+                best_phi, best_val = float(res.x), float(-res.fun)
+        except ValueError:
+            pass
+    return best_phi
 
 
 @dataclass
 class OptimizerConfig:
     epsilon: float = 1e-3        # stop when |F_k - F_{k-1}| < epsilon
     max_iters: int = 100
-    sweeps_per_iter: int = 1     # phase-sweep passes per outer iteration
     check_gradient: bool = False  # debug: finite-difference gradient audit
 
     def __post_init__(self):
-        if self.epsilon <= 0:
+        if not self.epsilon > 0:    # NaN fails too
             raise ValueError("epsilon must be > 0")
         if self.max_iters < 1:
             raise ValueError("max_iters must be >= 1")
-        if self.sweeps_per_iter < 1:
-            raise ValueError("sweeps_per_iter must be >= 1")
 
 
 @dataclass
@@ -154,7 +147,7 @@ class IterationTrace:
         return bool(np.all(np.diff(v) >= 0))
 
 
-def _audit_gradient(obj: Objective, P: UsPoint, direction, J, f0: float) -> None:
+def _audit_gradient(obj: Objective, P: UsPoint, direction, J) -> None:
     """Central finite-difference check of euclid_grad along the projected
     gradient's own geodesic. Raises on inconsistency."""
     bnorm = float(np.linalg.norm(direction.R))
@@ -228,19 +221,18 @@ def _ascend(obj: Objective, P0, cfg: OptimizerConfig, step, refused: str):
 
 def _us_step(obj: Objective, P: UsPoint, F: float, k: int, cfg: OptimizerConfig):
     """One iteration of optimize_us; core_s times the gradient, projection,
-    frame and factor update, not the sweeps, checks or evaluations."""
+    frame and factor update, not the sweep, checks or evaluations."""
     t_start = time.perf_counter()
     J = obj.euclid_grad(P)
     D = us_tangent_project(P, J)
     grad_norm = D.norm()
     if cfg.check_gradient and k == 1:
-        _audit_gradient(obj, P, D, J, F)
+        _audit_gradient(obj, P, D, J)
     Fr = us_geodesic_frame(P, D)
     core_s = time.perf_counter() - t_start
     # the gradient-step seed first; if it overshoots, redo from the current point
     for theta in (np.mod(Fr.theta + np.pi, 2.0 * np.pi) - np.pi, np.zeros(Fr.n)):
-        for _ in range(cfg.sweeps_per_iter):
-            theta = phase_sweep(obj, Fr, theta)
+        theta = phase_sweep(obj, Fr, theta)
         t_update = time.perf_counter()
         cand = us_point_at(Fr, theta) if np.any(theta) else P
         core_s += time.perf_counter() - t_update
@@ -260,10 +252,10 @@ def optimize_us(obj: Objective, U0: UsPoint,
     """Ascent on the unitary-symmetric manifold without step-size tuning.
 
     Per iteration: J = euclid_grad, project to R, open the geodesic frame
-    of R, run phase sweeps seeded with the frame's own gradient-step
+    of R, run one phase sweep seeded with the frame's own gradient-step
     phases, and take the new point with its multiplicatively updated
     factor. The seeded pass can in principle end below the current value;
-    when that happens the sweeps are redone from the all-zeros phase
+    when that happens the sweep is redone from the all-zeros phase
     vector, which reproduces the current point and therefore cannot lose
     ground. Stops when |F_k - F_{k-1}| < epsilon or at max_iters.
 

@@ -34,7 +34,6 @@ from unisym.bdris import (
 from unisym.linalg import NumericalError
 from unisym.manifold import (
     GeodesicFrame,
-    RetractionNonUniqueWarning,
     u_random,
     us_geodesic_frame,
     us_random,
@@ -102,12 +101,11 @@ class TestScenario:
             Scenario(nt=0)
 
     def test_invalid_budget_rejected(self):
-        with pytest.raises(ValueError):
-            Scenario(rho=0.0)
-        with pytest.raises(ValueError):
-            Scenario(alpha_ris=-1.0)
-        with pytest.raises(ValueError):
-            Scenario(k_rician=-0.5)
+        for field, value in (("rho", 0.0), ("alpha_ris", -1.0), ("k_rician", -0.5),
+                             ("rho", math.nan), ("alpha_ris", math.nan),
+                             ("alpha_direct", math.nan), ("k_rician", math.nan)):
+            with pytest.raises(ValueError):
+                Scenario(**{field: value})
 
     def test_with_elements(self):
         sc = Scenario()
@@ -317,6 +315,14 @@ class TestEuclidGrad:
                     fd = (f_p - f_m) / (2.0 * h)
                     ip = float(np.real(np.sum(np.conj(J) * B)))
                     assert abs(fd - ip) / max(abs(fd), abs(ip)) < 1e-5
+
+    def test_lost_definiteness_is_a_numerical_error(self):
+        # at rho = 1e30 on an 8x2 link, I + rho H H^H is numerically
+        # singular; the gradient must fail the way rate does
+        ch = gen_channels(Scenario(nr=8, nt=2, m=16, rho=1e30),
+                          seed=np.random.SeedSequence((300, 16)))
+        with pytest.raises(NumericalError, match="positive definiteness"):
+            euclid_grad(ch, us_random(16, seed=1), 1e30)
 
     def test_twenty_directions_at_reference_size(self):
         rng = np.random.default_rng(10)
@@ -582,7 +588,8 @@ class TestLowCost:
 
     def test_output_on_manifold_without_warnings(self):
         # the construction is rank-deficient for m > nt + nr, so the
-        # retraction's non-uniqueness is inherent and must stay silent
+        # nearest point is not unique; the retraction must still land on
+        # the manifold without a warning
         ch = gen_channels(Scenario(m=16), seed=4)
         with warnings.catch_warnings():
             warnings.simplefilter("error")

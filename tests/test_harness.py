@@ -4,6 +4,7 @@ determinism, and the CLI entry point."""
 import csv
 import json
 import math
+import re
 from pathlib import Path
 
 import numpy as np
@@ -107,6 +108,12 @@ class TestConfig:
     def test_blocked_flag_reaches_scenario(self):
         spec = tiny_spec("o", direct_blocked=True)
         assert spec.scenario.direct_blocked
+
+    def test_readme_config_block_matches_defaults(self):
+        readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+        blocks = re.findall(r"```yaml\n(.*?)```", readme, flags=re.S)
+        assert len(blocks) == 1
+        assert yaml.safe_load(blocks[0]) == CONFIG_DEFAULTS
 
 
 class TestRunExperiment:
@@ -322,6 +329,16 @@ class TestCli:
         cfg.write_text("no_such_key: 1\n")
         assert main(["run", str(cfg)]) == 2
         assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key,value", [
+        ("rho_db", 4000.0), ("rho_db", -4000.0), ("rho_db", math.nan),
+        ("k_rician", math.nan), ("epsilon", math.nan),
+        ("sweep", [16.7]), ("sweep", [True]), ("sweep", ["16"])])
+    def test_bad_value_rejected_before_any_work(self, tmp_path, capsys, key, value):
+        cfg = self.write_cfg(tmp_path, **{key: value})
+        assert main(["run", str(cfg)]) == 2
+        assert key in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_missing_file_exits_nonzero(self, tmp_path, capsys):
         assert main(["run", str(tmp_path / "absent.yaml")]) == 2

@@ -195,9 +195,9 @@ class TestConfig:
         with pytest.raises(ValueError):
             OptimizerConfig(epsilon=0.0)
         with pytest.raises(ValueError):
-            OptimizerConfig(max_iters=0)
+            OptimizerConfig(epsilon=float("nan"))
         with pytest.raises(ValueError):
-            OptimizerConfig(sweeps_per_iter=0)
+            OptimizerConfig(max_iters=0)
 
     def test_trace_monotone_helper(self):
         tr = IterationTrace()
