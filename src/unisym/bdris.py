@@ -249,12 +249,6 @@ def _phase_step(C: np.ndarray, u: np.ndarray, wc: np.ndarray, base: np.ndarray,
     return -cmath.phase(alpha)
 
 
-def _rank_one_base(u: np.ndarray, w: np.ndarray, rho: float) -> np.ndarray:
-    """I + rho ||w||^2 u u^H for each row pair of u (k x nr) and w (k x nt)."""
-    ww = np.einsum("ij,ij->i", w.conj(), w).real
-    return np.eye(u.shape[1]) + (rho * ww)[:, None, None] * (u[:, :, None] * u.conj()[:, None, :])
-
-
 def per_phase_opt(ch: ChannelSet, Fr: GeodesicFrame, theta: np.ndarray,
                   m: int, rho: float) -> float:
     """Closed-form argmax of the rate over frame phase m, others fixed.
@@ -262,8 +256,6 @@ def per_phase_opt(ch: ChannelSet, Fr: GeodesicFrame, theta: np.ndarray,
     Never returns a phase worse than theta[m]; flat axes (e.g. a column
     annihilated by F) keep their current phase.
     """
-    if not 0 <= m < Fr.n:
-        raise ValueError(f"phase index {m} out of range for n={Fr.n}")
     return RateObjective(ch, rho).phase_maximizer(Fr, theta, m)
 
 
@@ -286,27 +278,30 @@ class RateObjective(Objective):
         return euclid_grad(self.channels, point, self.rho)
 
     def phase_maximizer(self, Fr: GeodesicFrame, theta: np.ndarray, m: int) -> float:
-        ch = self.channels
-        Uc, Wc = ch.F @ Fr.QR, ch.G.conj() @ Fr.QR
-        ph = np.exp(1j * np.asarray(theta, dtype=float))
-        ph[m] = 0.0
-        C = ch.Hd + (Uc * ph) @ Wc.T
-        u, w = Uc[:, m], Wc[:, m]
-        return _phase_step(C, u, w.conj(), _rank_one_base(u[None], w[None], self.rho)[0],
-                           self.rho, float(theta[m]))
+        """The closed-form optimal phase of axis m, the others held at theta."""
+        if not 0 <= m < Fr.n:
+            raise ValueError(f"phase index {m} out of range for n={Fr.n}")
+        return float(self._sweep(Fr, np.array(theta, dtype=float), (m,))[m])
 
     def sweep(self, Fr: GeodesicFrame, theta: np.ndarray) -> np.ndarray:
-        """The closed-form pass at O(nr^2 nt) per phase: the channel H is
-        built once and kept current by removing and re-adding each axis's
-        rank-one term u w^T, with one fresh nr x nr solve per phase."""
+        return self._sweep(Fr, theta, range(Fr.n))
+
+    def _sweep(self, Fr: GeodesicFrame, theta: np.ndarray, axes) -> np.ndarray:
+        """The closed-form updates of the given axes in order, at O(nr^2 nt)
+        per phase: the channel H is built once and kept current by removing
+        and re-adding each axis's rank-one term u w^T, with one fresh
+        nr x nr solve per phase. Overwrites and returns theta."""
         ch = self.channels
         Ut = (ch.F @ Fr.QR).T.copy()           # row m: u of axis m
         Wt = (ch.G.conj() @ Fr.QR).T.copy()    # row m: w of axis m
-        UW = Ut[:, :, None] * Wt[:, None, :]
-        base = _rank_one_base(Ut, Wt, self.rho)
         Wct = Wt.conj()
+        UW = Ut[:, :, None] * Wt[:, None, :]
+        # row m: I + rho ||w||^2 u u^H, the constant part of _phase_step's matrix
+        ww = np.einsum("ij,ij->i", Wct, Wt).real
+        base = np.eye(Ut.shape[1]) + (self.rho * ww)[:, None, None] * (
+            Ut[:, :, None] * Ut.conj()[:, None, :])
         H = ch.Hd + (Ut.T * np.exp(1j * theta)) @ Wt
-        for m in range(Fr.n):
+        for m in axes:
             C = H - cmath.exp(1j * theta[m]) * UW[m]
             theta[m] = _phase_step(C, Ut[m], Wct[m], base[m], self.rho, theta[m])
             H = C + cmath.exp(1j * theta[m]) * UW[m]

@@ -29,9 +29,11 @@ from .bdris import (
     InapplicableMethodError,
     RateObjective,
     Scenario,
+    _dist,
     gen_channels,
     low_cost_bdris,
     mo_u_proj_baseline,
+    path_loss,
     rate_bits,
 )
 from .linalg import NumericalError
@@ -125,9 +127,9 @@ def _expect_position(raw: dict, key: str) -> tuple[float, float, float]:
 
 def build_run_spec(values: dict) -> RunSpec:
     """RunSpec from a flat key-value mapping; every key optional, unknown
-    keys rejected, and every number finite. rho is given in dB (rho_db)
-    and converted to linear. A bad value raises ValueError naming its key,
-    before anything is run or written."""
+    keys rejected, every number and path loss finite, positions distinct.
+    rho is given in dB (rho_db) and converted to linear. A bad value raises
+    ValueError naming its key, before anything is run or written."""
     unknown = sorted(set(values) - set(CONFIG_DEFAULTS))
     if unknown:
         raise ValueError(
@@ -142,8 +144,8 @@ def build_run_spec(values: dict) -> RunSpec:
     methods = raw["methods"]
     if isinstance(methods, str):
         methods = [s.strip() for s in methods.split(",") if s.strip()]
-    if not isinstance(methods, (list, tuple)):
-        raise ValueError("config key 'methods' must be a list of method names")
+    if not isinstance(methods, (list, tuple)) or not all(isinstance(m, str) for m in methods):
+        raise ValueError(f"config key 'methods' must be a list of method names, got {methods!r}")
     if not isinstance(raw["direct_blocked"], bool):
         raise ValueError("config key 'direct_blocked' must be a boolean")
     if not isinstance(raw["output_dir"], str):
@@ -173,6 +175,20 @@ def build_run_spec(values: dict) -> RunSpec:
         pl0_db=_expect_number(raw, "pl0_db"),
         direct_blocked=raw["direct_blocked"],
     )
+    # each link joins distinct positions and has a finite path loss, so
+    # drawing its channels cannot fail
+    for a, b, alpha in (("tx_pos", "ris_pos", "alpha_ris"), ("ris_pos", "rx_pos", "alpha_ris"),
+                        ("tx_pos", "rx_pos", "alpha_direct")):
+        try:
+            pl = path_loss(_dist(getattr(scenario, a), getattr(scenario, b)),
+                           getattr(scenario, alpha), scenario.pl0_db)
+        except ValueError:
+            raise ValueError(f"config keys {a!r} and {b!r} must be distinct positions") from None
+        except OverflowError:
+            pl = math.inf
+        if not pl < math.inf:
+            raise ValueError(f"config keys 'pl0_db' and {alpha!r} give an infinite path loss "
+                             f"between {a!r} and {b!r}")
     optimizer = OptimizerConfig(
         epsilon=_expect_number(raw, "epsilon"),
         max_iters=_expect_int(raw, "max_iters"),
@@ -192,7 +208,10 @@ def load_run_spec(path, overrides: dict | None = None) -> RunSpec:
     """RunSpec from a YAML file, with overrides (e.g. CLI flags) applied
     on top of the file values."""
     with open(path, "r", encoding="utf-8") as fh:
-        data = yaml.safe_load(fh)
+        try:
+            data = yaml.safe_load(fh)
+        except yaml.YAMLError as exc:
+            raise ValueError(f"config file {path} is not valid YAML: {exc}") from exc
     if data is None:
         data = {}
     if not isinstance(data, dict):

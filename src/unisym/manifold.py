@@ -5,8 +5,8 @@ unitary factor Q (a Takagi factor of U) and its matrix is derived as
 U = Q Q^T, so it is symmetric by construction and unitary exactly as far as
 Q is. The factor makes tangent projection, geodesics, and the
 multiplicative phase update cheap: iterative callers update Q instead of
-re-factorizing U each step, and refresh it from a fresh Takagi
-factorization only when Q drifts from unitarity.
+re-factorizing U each step, and refresh it to the nearest unitary matrix
+only when Q drifts from unitarity.
 
 The few operations on the plain unitary manifold needed by the projection
 baseline (tangent projection and geodesic steps on U(n)) live here too.
@@ -22,7 +22,7 @@ import numpy as np
 from .linalg import eig_real_symmetric, expm_skew_hermitian, takagi
 
 # Residual level above which a factor is considered stale and the point is
-# refreshed by re-factorization.
+# refreshed to the nearest unitary matrix.
 DRIFT_TOL = 1e-8
 
 

@@ -17,7 +17,6 @@ import time
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 
 from .manifold import (
     DRIFT_TOL,
@@ -28,7 +27,6 @@ from .manifold import (
     u_tangent_project,
     us_geodesic_frame,
     us_point_at,
-    us_retract,
     us_tangent_project,
 )
 
@@ -67,7 +65,7 @@ class Objective:
 
 
 def _search_phase(obj: Objective, Fr: GeodesicFrame, theta: np.ndarray, m: int) -> float:
-    """Search on a 360-point grid over (-pi, pi] plus golden-section
+    """Search on a 360-point grid over (-pi, pi] plus a parabolic
     refinement for one phase, holding the others fixed. Never returns a
     worse phase than the current theta[m]."""
     def f_of(phi: float) -> float:
@@ -83,18 +81,14 @@ def _search_phase(obj: Objective, Fr: GeodesicFrame, theta: np.ndarray, m: int) 
     best_phi, best_val = theta[m], f_cur
     if vals[i] > best_val:
         best_phi, best_val = phis[i], vals[i]
-    # refine around the best grid point when it strictly beats its neighbors
+    # refine around the best grid point when it strictly beats its neighbors:
+    # the vertex of the parabola through the three (the denominator is < 0)
     left, right = vals[(i - 1) % grid], vals[(i + 1) % grid]
     if vals[i] > left and vals[i] > right:
-        step = 2 * np.pi / grid
-        try:
-            res = minimize_scalar(lambda p: -f_of(p),
-                                  bracket=(phis[i] - step, phis[i], phis[i] + step),
-                                  method="golden", options={"xtol": 1e-10})
-            if -res.fun > best_val:
-                best_phi, best_val = float(res.x), float(-res.fun)
-        except ValueError:
-            pass
+        phi = phis[i] + (np.pi / grid) * (left - right) / (left - 2.0 * vals[i] + right)
+        f_phi = f_of(phi)
+        if f_phi > best_val:
+            best_phi, best_val = phi, f_phi
     return best_phi
 
 
@@ -102,7 +96,6 @@ def _search_phase(obj: Objective, Fr: GeodesicFrame, theta: np.ndarray, m: int) 
 class OptimizerConfig:
     epsilon: float = 1e-3        # stop when |F_k - F_{k-1}| < epsilon
     max_iters: int = 100
-    check_gradient: bool = False  # debug: finite-difference gradient audit
 
     def __post_init__(self):
         if not self.epsilon > 0:    # NaN fails too
@@ -147,25 +140,6 @@ class IterationTrace:
         return bool(np.all(np.diff(v) >= 0))
 
 
-def _audit_gradient(obj: Objective, P: UsPoint, direction, J) -> None:
-    """Central finite-difference check of euclid_grad along the projected
-    gradient's own geodesic. Raises on inconsistency."""
-    bnorm = float(np.linalg.norm(direction.R))
-    if bnorm < 1e-12:
-        return
-    frame = us_geodesic_frame(P, direction)
-    h = 1e-6 * float(np.linalg.norm(P.U)) / bnorm
-    f_plus = obj.eval(us_point_at(frame, frame.theta * h))
-    f_minus = obj.eval(us_point_at(frame, frame.theta * (-h)))
-    fd = (f_plus - f_minus) / (2 * h)
-    B = direction.embed(P)
-    expected = float(np.real(np.trace(J.conj().T @ B)))
-    if abs(fd - expected) > 1e-5 * max(abs(expected), abs(fd), 1e-8):
-        raise ValueError(
-            f"euclid_grad inconsistent with eval: finite difference {fd:.8e} "
-            f"vs inner product {expected:.8e}")
-
-
 def phase_sweep(obj: Objective, Fr: GeodesicFrame, theta0: np.ndarray) -> np.ndarray:
     """One coordinate-ascent pass over the frame phases, run by obj.sweep on
     a copy of theta0.
@@ -184,8 +158,8 @@ def phase_sweep(obj: Objective, Fr: GeodesicFrame, theta0: np.ndarray) -> np.nda
 def _ascend(obj: Objective, P0, cfg: OptimizerConfig, step, refused: str):
     """The ascent loop both optimizers share.
 
-    step(obj, P, F, k, cfg) runs iteration k from the point P of value F
-    and returns (P_new, F_new, residual, grad_norm, core_s): a candidate on
+    step(obj, P, F) runs one iteration from the point P of value F and
+    returns (P_new, F_new, residual, grad_norm, core_s): a candidate on
     the manifold with its value and residual, or P_new = None when it found
     no acceptable move. A refused move repeats the current point in the
     trace and ends the run with status `refused`; otherwise the run stops
@@ -199,7 +173,7 @@ def _ascend(obj: Objective, P0, cfg: OptimizerConfig, step, refused: str):
         k=0, value=F, grad_norm=math.nan, wall_ms=0.0, core_ms=0.0, residual=residual)])
     for k in range(1, cfg.max_iters + 1):
         t_start = time.perf_counter()
-        P_new, F_new, res, grad_norm, core_s = step(obj, P, F, k, cfg)
+        P_new, F_new, res, grad_norm, core_s = step(obj, P, F)
         wall_ms = (time.perf_counter() - t_start) * 1e3
         if P_new is None:
             # P is the point of the last record, so its residual is known
@@ -219,15 +193,19 @@ def _ascend(obj: Objective, P0, cfg: OptimizerConfig, step, refused: str):
     return P, trace
 
 
-def _us_step(obj: Objective, P: UsPoint, F: float, k: int, cfg: OptimizerConfig):
+def _polar(A: np.ndarray) -> np.ndarray:
+    """The unitary matrix nearest to A (Frobenius norm): u vh from its SVD."""
+    u, _, vh = np.linalg.svd(A)
+    return u @ vh
+
+
+def _us_step(obj: Objective, P: UsPoint, F: float):
     """One iteration of optimize_us; core_s times the gradient, projection,
     frame and factor update, not the sweep, checks or evaluations."""
     t_start = time.perf_counter()
     J = obj.euclid_grad(P)
     D = us_tangent_project(P, J)
     grad_norm = D.norm()
-    if cfg.check_gradient and k == 1:
-        _audit_gradient(obj, P, D, J)
     Fr = us_geodesic_frame(P, D)
     core_s = time.perf_counter() - t_start
     # the gradient-step seed first; if it overshoots, redo from the current point
@@ -238,7 +216,7 @@ def _us_step(obj: Objective, P: UsPoint, F: float, k: int, cfg: OptimizerConfig)
         core_s += time.perf_counter() - t_update
         res = cand.max_residual()
         if res > DRIFT_TOL:
-            cand = us_retract((cand.U + cand.U.T) / 2.0)
+            cand = UsPoint(Q=_polar(cand.Q))
             res = cand.max_residual()
         F_new = float(obj.eval(cand))
         if F_new >= F:
@@ -264,8 +242,10 @@ def optimize_us(obj: Objective, U0: UsPoint,
     return _ascend(obj, U0, cfg or OptimizerConfig(), _us_step, refused="converged")
 
 
-def _armijo_step(obj: Objective, P: UPoint, F: float, k: int, cfg: OptimizerConfig):
-    """One backtracking iteration of optimize_u_armijo; core_s is the whole step."""
+def _armijo_step(obj: Objective, P: UPoint, F: float):
+    """One backtracking iteration of optimize_u_armijo; core_s is the whole step.
+    A candidate that drifted off U(n) is refreshed and valued anew, and the
+    move is refused if the refreshed value is below F."""
     t_start = time.perf_counter()
     J = obj.euclid_grad(P)
     S = u_tangent_project(P, J)
@@ -282,9 +262,11 @@ def _armijo_step(obj: Objective, P: UPoint, F: float, k: int, cfg: OptimizerConf
         return None, math.nan, math.nan, grad_norm, time.perf_counter() - t_start
     res = cand.max_residual()
     if res > DRIFT_TOL:
-        u, _, vh = np.linalg.svd(cand.U)
-        cand = UPoint(U=u @ vh)
+        cand = UPoint(U=_polar(cand.U))
         res = cand.max_residual()
+        F_new = float(obj.eval(cand))
+    if not F_new >= F:    # only a refreshed candidate can fall below F
+        return None, math.nan, math.nan, grad_norm, time.perf_counter() - t_start
     return cand, F_new, res, grad_norm, time.perf_counter() - t_start
 
 

@@ -451,6 +451,16 @@ class TestRateObjective:
             assert obj.phase_maximizer(Fr, theta, m) == pytest.approx(
                 per_phase_opt(ch, Fr, theta, m, 2.0), abs=1e-13)
 
+    def test_phase_index_out_of_range_rejected(self):
+        rng = np.random.default_rng(17)
+        ch = make_channels(rng, 2, 2, 5)
+        obj = RateObjective(ch, rho=2.0)
+        Fr = random_frame(rng, ch, 2.0, 5)
+        theta = rng.uniform(-np.pi, np.pi, size=5)
+        for m in (-1, 5):
+            with pytest.raises(ValueError, match="out of range"):
+                obj.phase_maximizer(Fr, theta, m)
+
     def test_sweep_updates_beat_per_coordinate_grid(self):
         # full ascent on an 8-element response: accepted iterates never lose
         # ground, and each coordinate update is at least as good as a

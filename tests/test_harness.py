@@ -333,11 +333,19 @@ class TestCli:
     @pytest.mark.parametrize("key,value", [
         ("rho_db", 4000.0), ("rho_db", -4000.0), ("rho_db", math.nan),
         ("k_rician", math.nan), ("epsilon", math.nan),
-        ("sweep", [16.7]), ("sweep", [True]), ("sweep", ["16"])])
+        ("sweep", [16.7]), ("sweep", [True]), ("sweep", ["16"]),
+        ("methods", [[1]]), ("pl0_db", -4000.0), ("ris_pos", [50.0, 0.0, 1.5])])
     def test_bad_value_rejected_before_any_work(self, tmp_path, capsys, key, value):
         cfg = self.write_cfg(tmp_path, **{key: value})
         assert main(["run", str(cfg)]) == 2
         assert key in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_malformed_yaml_exits_two(self, tmp_path, capsys):
+        cfg = tmp_path / "spec.yaml"
+        cfg.write_text(f"sweep: [4, 8\noutput_dir: {tmp_path / 'out'}\n")
+        assert main(["run", str(cfg)]) == 2
+        assert str(cfg) in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
     def test_missing_file_exits_nonzero(self, tmp_path, capsys):
