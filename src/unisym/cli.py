@@ -31,7 +31,7 @@ def _overrides(args: argparse.Namespace) -> dict:
     if args.seed is not None:
         out["seed0"] = args.seed
     if args.methods is not None:
-        out["methods"] = [s.strip() for s in args.methods.split(",") if s.strip()]
+        out["methods"] = args.methods    # build_run_spec splits it at commas
     return out
 
 

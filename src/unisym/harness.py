@@ -18,7 +18,7 @@ import math
 import statistics
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -38,13 +38,10 @@ from .bdris import (
 )
 from .linalg import NumericalError
 from .manifold import u_random, us_random
-from .optimizer import IterationTrace, OptimizerConfig, optimize_us
+from .optimizer import OptimizerConfig, optimize_us
 
-RESULTS_HEADER = ["method", "M", "trial", "seed", "rate_bits", "iterations",
-                  "wall_ms", "converged"]
 TRACE_HEADER = ["k", "F_bits", "wall_ms"]
 ERRORS_HEADER = ["method", "M", "trial", "seed", "error"]
-BENCH_HEADER = ["method", "M", "median_iter_ms", "median_wall_ms", "total_ms", "failed"]
 
 CONFIG_DEFAULTS: dict = {
     "nt": 4,
@@ -114,10 +111,6 @@ def _number(key: str, v) -> float:
     return float(v)
 
 
-def _expect_number(raw: dict, key: str) -> float:
-    return _number(key, raw[key])
-
-
 def _expect_position(raw: dict, key: str) -> tuple[float, float, float]:
     v = raw[key]
     if not isinstance(v, (list, tuple)) or len(v) != 3:
@@ -127,9 +120,10 @@ def _expect_position(raw: dict, key: str) -> tuple[float, float, float]:
 
 def build_run_spec(values: dict) -> RunSpec:
     """RunSpec from a flat key-value mapping; every key optional, unknown
-    keys rejected, every number and path loss finite, positions distinct.
-    rho is given in dB (rho_db) and converted to linear. A bad value raises
-    ValueError naming its key, before anything is run or written."""
+    keys rejected, every number finite, positions distinct, each link's
+    power gain at most 1. rho is given in dB (rho_db) and converted to
+    linear. A bad value raises ValueError naming its key, before anything
+    is run or written."""
     unknown = sorted(set(values) - set(CONFIG_DEFAULTS))
     if unknown:
         raise ValueError(
@@ -154,7 +148,7 @@ def build_run_spec(values: dict) -> RunSpec:
     if any(isinstance(m, bool) or not isinstance(m, int) for m in sweep):
         raise ValueError(f"config key 'sweep' must list integer element counts, got {sweep!r}")
     sweep = tuple(sweep)
-    rho_db = _expect_number(raw, "rho_db")
+    rho_db = _number("rho_db", raw["rho_db"])
     try:
         rho = 10.0 ** (rho_db / 10.0)
     except OverflowError:
@@ -168,15 +162,15 @@ def build_run_spec(values: dict) -> RunSpec:
         tx_pos=_expect_position(raw, "tx_pos"),
         rx_pos=_expect_position(raw, "rx_pos"),
         ris_pos=_expect_position(raw, "ris_pos"),
-        k_rician=_expect_number(raw, "k_rician"),
-        alpha_ris=_expect_number(raw, "alpha_ris"),
-        alpha_direct=_expect_number(raw, "alpha_direct"),
+        k_rician=_number("k_rician", raw["k_rician"]),
+        alpha_ris=_number("alpha_ris", raw["alpha_ris"]),
+        alpha_direct=_number("alpha_direct", raw["alpha_direct"]),
         rho=rho,
-        pl0_db=_expect_number(raw, "pl0_db"),
+        pl0_db=_number("pl0_db", raw["pl0_db"]),
         direct_blocked=raw["direct_blocked"],
     )
-    # each link joins distinct positions and has a finite path loss, so
-    # drawing its channels cannot fail
+    # each link joins distinct positions and, being passive, has a power
+    # gain of at most 1, so its channels are finite and their products too
     for a, b, alpha in (("tx_pos", "ris_pos", "alpha_ris"), ("ris_pos", "rx_pos", "alpha_ris"),
                         ("tx_pos", "rx_pos", "alpha_direct")):
         try:
@@ -186,11 +180,11 @@ def build_run_spec(values: dict) -> RunSpec:
             raise ValueError(f"config keys {a!r} and {b!r} must be distinct positions") from None
         except OverflowError:
             pl = math.inf
-        if not pl < math.inf:
-            raise ValueError(f"config keys 'pl0_db' and {alpha!r} give an infinite path loss "
-                             f"between {a!r} and {b!r}")
+        if not pl <= 1.0:
+            raise ValueError(f"config keys 'pl0_db', {alpha!r}, {a!r} and {b!r} give a link "
+                             f"power gain of {pl:.3g}, above 1")
     optimizer = OptimizerConfig(
-        epsilon=_expect_number(raw, "epsilon"),
+        epsilon=_number("epsilon", raw["epsilon"]),
         max_iters=_expect_int(raw, "max_iters"),
     )
     return RunSpec(
@@ -216,16 +210,13 @@ def load_run_spec(path, overrides: dict | None = None) -> RunSpec:
         data = {}
     if not isinstance(data, dict):
         raise ValueError(f"config file {path} must hold a key-value mapping")
-    merged = dict(data)
-    merged.update(overrides or {})
-    return build_run_spec(merged)
+    return build_run_spec({**data, **(overrides or {})})
 
 
 @dataclass(frozen=True)
 class ResultRow:
     """One (method, element count, trial) outcome. converged is "true",
-    "false", "inapplicable" or "error"; inapplicable and error rows carry
-    nan rate and zero iterations."""
+    "false", "inapplicable" or "error"; the last two carry a nan rate."""
 
     method: str
     M: int
@@ -235,6 +226,9 @@ class ResultRow:
     iterations: int
     wall_ms: float
     converged: str
+
+
+RESULTS_HEADER = [f.name for f in fields(ResultRow)]
 
 
 @dataclass
@@ -265,12 +259,34 @@ METHODS = {
 ITERATIVE_METHODS = ("mo_us", "mo_u_proj")
 
 
-def _write_trace(path: Path, trace: IterationTrace) -> None:
+def _write_csv(path: Path, header: list[str], rows) -> None:
+    # csv writes a float as its repr, so every value round-trips exactly
     with open(path, "w", newline="", encoding="utf-8") as fh:
         w = csv.writer(fh)
-        w.writerow(TRACE_HEADER)
-        for r in trace.records:
-            w.writerow([r.k, repr(r.value / LN2), repr(r.wall_ms)])
+        w.writerow(header)
+        w.writerows(rows)
+
+
+def _run_trial(spec: RunSpec, method: str, M: int, trial: int):
+    """One trial of one method on the channels of seed seed0 + trial, as
+    (result row, trace or None, error message or None). Only the method
+    call is timed; an inapplicable method or a NumericalError, in the method
+    or in valuing its surface, gives a row with nan rate and no trace."""
+    sc = spec.scenario.with_elements(M)
+    seed = spec.seed0 + trial
+    ch = gen_channels(sc, seed=seed)
+    try:
+        t0 = time.perf_counter()
+        P, trace = METHODS[method](ch, sc.rho, spec.seed0, trial, spec.optimizer)
+        wall = (time.perf_counter() - t0) * 1e3
+        rb = rate_bits(ch, P, sc.rho)
+    except InapplicableMethodError:
+        return ResultRow(method, M, trial, seed, math.nan, 0, 0.0, "inapplicable"), None, None
+    except NumericalError as exc:
+        return ResultRow(method, M, trial, seed, math.nan, 0, 0.0, "error"), None, str(exc)
+    iters = 0 if trace is None else trace.iterations
+    ok = "true" if trace is None or trace.status == "converged" else "false"
+    return ResultRow(method, M, trial, seed, rb, iters, wall, ok), trace, None
 
 
 def _summarize(rows: list[ResultRow], methods, sweep) -> dict:
@@ -310,49 +326,25 @@ def run_experiment(spec: RunSpec) -> ExperimentResult:
     out_dir = Path(spec.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     rows: list[ResultRow] = []
-    errors: list[list] = []
+    errors: list[tuple] = []
     for method in spec.methods:
         for M in spec.sweep:
-            sc = spec.scenario.with_elements(M)
             for trial in range(spec.trials):
-                seed = spec.seed0 + trial
-                ch = gen_channels(sc, seed=seed)
-                try:
-                    t0 = time.perf_counter()
-                    P, trace = METHODS[method](ch, sc.rho, spec.seed0, trial, spec.optimizer)
-                    wall = (time.perf_counter() - t0) * 1e3
-                    rb = rate_bits(ch, P, sc.rho)
-                    iters = 0 if trace is None else trace.iterations
-                    ok = "true" if trace is None or trace.status == "converged" else "false"
-                except InapplicableMethodError:
-                    rb, iters, wall, ok, trace = math.nan, 0, 0.0, "inapplicable", None
-                except NumericalError as exc:
-                    rb, iters, wall, ok, trace = math.nan, 0, 0.0, "error", None
-                    errors.append([method, M, trial, seed, str(exc)])
-                rows.append(ResultRow(method=method, M=M, trial=trial, seed=seed,
-                                      rate_bits=rb, iterations=iters, wall_ms=wall,
-                                      converged=ok))
+                row, trace, error = _run_trial(spec, method, M, trial)
+                rows.append(row)
+                if error is not None:
+                    errors.append((method, M, trial, row.seed, error))
                 if trace is not None:
-                    _write_trace(out_dir / f"trace_{method}_{M}_{trial}.csv", trace)
-
+                    _write_csv(out_dir / f"trace_{method}_{M}_{trial}.csv", TRACE_HEADER,
+                               [(r.k, r.value / LN2, r.wall_ms) for r in trace.records])
     results_csv = out_dir / "results.csv"
-    with open(results_csv, "w", newline="", encoding="utf-8") as fh:
-        w = csv.writer(fh)
-        w.writerow(RESULTS_HEADER)
-        for r in rows:
-            w.writerow([r.method, r.M, r.trial, r.seed, repr(r.rate_bits),
-                        r.iterations, repr(r.wall_ms), r.converged])
+    _write_csv(results_csv, RESULTS_HEADER, [astuple(r) for r in rows])
     if errors:
-        with open(out_dir / "errors.csv", "w", newline="", encoding="utf-8") as fh:
-            w = csv.writer(fh)
-            w.writerow(ERRORS_HEADER)
-            w.writerows(errors)
-
+        _write_csv(out_dir / "errors.csv", ERRORS_HEADER, errors)
     summary = _summarize(rows, spec.methods, spec.sweep)
     summary_json = out_dir / "summary.json"
-    with open(summary_json, "w", encoding="utf-8") as fh:
-        json.dump(summary, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    summary_json.write_text(json.dumps(summary, indent=2, sort_keys=True) + "\n",
+                            encoding="utf-8")
     return ExperimentResult(rows=rows, summary=summary, results_csv=results_csv,
                             summary_json=summary_json, output_dir=out_dir)
 
@@ -363,8 +355,11 @@ class BenchRow:
     M: int
     median_iter_ms: float    # median IterationRecord.core_ms
     median_wall_ms: float    # median IterationRecord.wall_ms, sweeps included
-    total_ms: float
+    total_ms: float          # summed wall_ms of the trials that did not fail
     failed: int              # trials that raised NumericalError
+
+
+BENCH_HEADER = [f.name for f in fields(BenchRow)]
 
 
 def _median(values: list[float]) -> float:
@@ -377,43 +372,33 @@ def bench(spec: RunSpec) -> tuple[list[BenchRow], Path]:
     For each (method, M), over at least 5 trials run sequentially: the
     median per-iteration core time (gradient, tangent projection,
     eigendecomposition-and-frame, point update), the median whole-iteration
-    wall time, and the summed trial time. A trial that raises
-    NumericalError is counted in `failed` and left out of the timings; a
+    wall time, and the summed trial time. A trial that fails (an error row
+    of _run_trial) is counted in `failed` and left out of the timings; a
     cell whose trials all failed has nan timings. Non-iterative methods
     have no per-iteration cost and are skipped.
     """
     out_dir = Path(spec.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    trials = max(5, spec.trials)
     rows: list[BenchRow] = []
     for method in spec.methods:
         if method not in ITERATIVE_METHODS:
             continue
         for M in spec.sweep:
-            sc = spec.scenario.with_elements(M)
             records: list = []
             total = 0.0
             failed = 0
-            for trial in range(trials):
-                ch = gen_channels(sc, seed=spec.seed0 + trial)
-                t0 = time.perf_counter()
-                try:
-                    _, trace = METHODS[method](ch, sc.rho, spec.seed0, trial, spec.optimizer)
-                except NumericalError:
+            for trial in range(max(5, spec.trials)):
+                row, trace, error = _run_trial(spec, method, M, trial)
+                if error is not None:
                     failed += 1
                     continue
-                total += time.perf_counter() - t0
+                total += row.wall_ms
                 records.extend(r for r in trace.records if r.k >= 1)
             rows.append(BenchRow(method=method, M=M,
                                  median_iter_ms=_median([r.core_ms for r in records]),
                                  median_wall_ms=_median([r.wall_ms for r in records]),
-                                 total_ms=total * 1e3 if records else math.nan,
+                                 total_ms=total if records else math.nan,
                                  failed=failed))
     bench_csv = out_dir / "bench.csv"
-    with open(bench_csv, "w", newline="", encoding="utf-8") as fh:
-        w = csv.writer(fh)
-        w.writerow(BENCH_HEADER)
-        for r in rows:
-            w.writerow([r.method, r.M, repr(r.median_iter_ms), repr(r.median_wall_ms),
-                        repr(r.total_ms), r.failed])
+    _write_csv(bench_csv, BENCH_HEADER, [astuple(r) for r in rows])
     return rows, bench_csv

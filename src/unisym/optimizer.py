@@ -155,14 +155,14 @@ def phase_sweep(obj: Objective, Fr: GeodesicFrame, theta0: np.ndarray) -> np.nda
     return obj.sweep(Fr, theta)
 
 
-def _ascend(obj: Objective, P0, cfg: OptimizerConfig, step, refused: str):
+def _ascend(obj: Objective, P0, cfg: OptimizerConfig, step):
     """The ascent loop both optimizers share.
 
     step(obj, P, F) runs one iteration from the point P of value F and
     returns (P_new, F_new, residual, grad_norm, core_s): a candidate on
     the manifold with its value and residual, or P_new = None when it found
     no acceptable move. A refused move repeats the current point in the
-    trace and ends the run with status `refused`; otherwise the run stops
+    trace and ends the run with status "stalled"; otherwise the run stops
     when |F_new - F| < epsilon or at max_iters.
     """
     residual = P0.max_residual()
@@ -180,7 +180,7 @@ def _ascend(obj: Objective, P0, cfg: OptimizerConfig, step, refused: str):
             trace.records.append(IterationRecord(
                 k=k, value=F, grad_norm=grad_norm, wall_ms=wall_ms,
                 core_ms=core_s * 1e3, residual=trace.records[-1].residual))
-            trace.status = refused
+            trace.status = "stalled"
             return P, trace
         trace.records.append(IterationRecord(
             k=k, value=F_new, grad_norm=grad_norm, wall_ms=wall_ms,
@@ -235,11 +235,12 @@ def optimize_us(obj: Objective, U0: UsPoint,
     factor. The seeded pass can in principle end below the current value;
     when that happens the sweep is redone from the all-zeros phase
     vector, which reproduces the current point and therefore cannot lose
-    ground. Stops when |F_k - F_{k-1}| < epsilon or at max_iters.
+    ground. Stops when |F_k - F_{k-1}| < epsilon or at max_iters; a move
+    that the redone pass still ends below (roundoff) is refused: "stalled".
 
     Returns the final point and a per-iteration trace with monotone values.
     """
-    return _ascend(obj, U0, cfg or OptimizerConfig(), _us_step, refused="converged")
+    return _ascend(obj, U0, cfg or OptimizerConfig(), _us_step)
 
 
 def _armijo_step(obj: Objective, P: UPoint, F: float):
@@ -280,4 +281,4 @@ def optimize_u_armijo(obj: Objective, U0: UPoint,
     (30). Stops on |F_k - F_{k-1}| < epsilon, max_iters, or line-search
     failure (status "stalled").
     """
-    return _ascend(obj, U0, cfg or OptimizerConfig(), _armijo_step, refused="stalled")
+    return _ascend(obj, U0, cfg or OptimizerConfig(), _armijo_step)

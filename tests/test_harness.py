@@ -334,7 +334,8 @@ class TestCli:
         ("rho_db", 4000.0), ("rho_db", -4000.0), ("rho_db", math.nan),
         ("k_rician", math.nan), ("epsilon", math.nan),
         ("sweep", [16.7]), ("sweep", [True]), ("sweep", ["16"]),
-        ("methods", [[1]]), ("pl0_db", -4000.0), ("ris_pos", [50.0, 0.0, 1.5])])
+        ("methods", [[1]]), ("pl0_db", -4000.0), ("ris_pos", [50.0, 0.0, 1.5]),
+        ("pl0_db", -3000.0)])
     def test_bad_value_rejected_before_any_work(self, tmp_path, capsys, key, value):
         cfg = self.write_cfg(tmp_path, **{key: value})
         assert main(["run", str(cfg)]) == 2

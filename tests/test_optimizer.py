@@ -18,6 +18,7 @@ from unisym.manifold import (
     UsPoint,
     as_matrix,
     u_random,
+    us_point_at,
     us_random,
 )
 from unisym.optimizer import (
@@ -78,6 +79,43 @@ class LinearTrace(Objective):
         return self.A
 
 
+class DownhillKeepSeed(LinearTrace):
+    """A linear trace whose gradient points downhill and whose sweep keeps
+    the phases it is given, so the gradient-step candidate loses value."""
+
+    def __init__(self, A):
+        super().__init__(A)
+        self.swept = []   # (frame, phases) per sweep call
+
+    def euclid_grad(self, point):
+        return -1e-3 * self.A
+
+    def sweep(self, Fr, theta):
+        self.swept.append((Fr, theta.copy()))
+        return theta
+
+
+class Sinking(LinearTrace):
+    """Lower at every evaluation, so any candidate ends below the start."""
+
+    def __init__(self, A):
+        super().__init__(A)
+        self.evals = 0
+
+    def eval(self, point):
+        self.evals += 1
+        return -float(self.evals)
+
+    def sweep(self, Fr, theta):
+        return theta
+
+
+def sym_matrix(seed, n=4):
+    rng = np.random.default_rng(seed)
+    B = (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))) / np.sqrt(2)
+    return B + B.T
+
+
 class TestOptimizeUs:
     def test_constant_objective_single_iteration(self):
         P0 = us_random(4, seed=0)
@@ -129,6 +167,29 @@ class TestOptimizeUs:
         assert tr.is_monotone()
         assert np.linalg.norm(P.U @ P.U.conj().T - np.eye(4)) <= 1e-12
         assert np.linalg.norm(P.U - P.U.T) <= 1e-12
+
+    def test_zero_seed_pass_runs_when_the_gradient_step_loses(self):
+        obj = DownhillKeepSeed(sym_matrix(31))
+        P0 = us_random(4, seed=7)
+        P, tr = optimize_us(obj, P0)
+        (Fr, seeded), (_, zeros) = obj.swept
+        assert obj.eval(us_point_at(Fr, seeded)) < tr.values[0]
+        assert not np.any(zeros)
+        # the zero-phase pass reproduces the start, so the move is accepted
+        assert tr.status == "converged" and tr.iterations == 1
+        assert tr.values.tolist() == [tr.values[0]] * 2
+        assert tr.is_monotone()
+        assert P is P0
+
+    def test_refused_move_stalls_at_the_start_point(self):
+        obj = Sinking(sym_matrix(37))
+        P0 = us_random(4, seed=7)
+        P, tr = optimize_us(obj, P0)
+        assert tr.status == "stalled"
+        assert tr.iterations == 1
+        assert tr.values.tolist() == [-1.0, -1.0]
+        assert tr.records[1].residual == tr.records[0].residual
+        assert P is P0
 
     def test_off_manifold_start_rejected(self):
         bad = UsPoint(Q=2 * np.eye(3, dtype=complex))

@@ -1,0 +1,32 @@
+"""tools/same_answers.py on a tiny spec: the working tree against itself
+is identical, and a changed rate is reported."""
+
+import csv
+import importlib.util
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+_spec = importlib.util.spec_from_file_location("same_answers", ROOT / "tools" / "same_answers.py")
+same_answers = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(same_answers)
+
+TINY = {"tiny": {"nt": 2, "nr": 2, "sweep": [4], "trials": 2, "seed0": 7, "max_iters": 20}}
+
+
+def test_working_tree_against_itself_then_a_changed_rate(tmp_path):
+    same, lines = same_answers.compare(ROOT / "src", ROOT / "src", TINY, tmp_path)
+    # results.csv, summary.json and two traces for each iterative method
+    assert same, lines
+    assert lines[-1] == "6 of 6 files identical"
+
+    path = tmp_path / "new" / "tiny" / "results.csv"
+    with open(path, newline="") as fh:
+        rows = list(csv.reader(fh))
+    rows[1][4] = repr(float(rows[1][4]) + 1e-9)
+    with open(path, "w", newline="") as fh:
+        csv.writer(fh).writerows(rows)
+    same, lines = same_answers.compare_outputs(tmp_path / "base", tmp_path / "new", TINY)
+    assert not same
+    assert "  differs: results.csv" in lines
+    assert lines[-1] == "5 of 6 files identical"
+    assert lines[0].endswith("max |d rate_bits| 1e-09")

@@ -1,0 +1,173 @@
+#!/usr/bin/env python3
+"""Check that the working tree gives the same answers as a git ref.
+
+    python3 tools/same_answers.py <git-ref>
+
+Runs four fixed run specs through `unisym.harness.run_experiment` twice,
+each side in its own interpreter: once on the `src/` of a `git archive`
+copy of <git-ref>, once on the working tree's `src/`. Each output file is
+compared byte for byte once its `wall_ms` column is dropped. The report
+names the files that differ, the largest |delta rate_bits| per spec, the
+rows whose iteration counts differ and the error rows on either side.
+Exit status: 0 when every file is identical, 1 when any differs, 2 when
+the ref cannot be read or a side fails to run.
+"""
+
+from __future__ import annotations
+
+import argparse
+import csv
+import io
+import json
+import math
+import os
+import subprocess
+import sys
+import tarfile
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+
+# spec name -> run-spec values; output_dir is set per side
+SPECS = {
+    "desk": {"sweep": [16, 32, 64], "trials": 4, "seed0": 3},
+    "blocked": {"sweep": [16, 32], "trials": 3, "seed0": 5, "direct_blocked": True},
+    "link_8x2": {"nr": 8, "nt": 2, "sweep": [16, 32], "trials": 4, "seed0": 7},
+    "large": {"sweep": [128, 256], "trials": 3, "seed0": 11, "methods": ["mo_us"]},
+}
+
+# run in a fresh interpreter with PYTHONPATH=<src>: argv = src, out root, specs
+_RUNNER = """
+import json, sys
+from pathlib import Path
+import unisym
+from unisym.harness import build_run_spec, run_experiment
+src, out = Path(sys.argv[1]).resolve(), Path(sys.argv[2])
+if Path(unisym.__file__).resolve().parent != src / "unisym":
+    sys.exit(f"imported unisym from {unisym.__file__}, not from {src}")
+for name, values in json.loads(sys.argv[3]).items():
+    run_experiment(build_run_spec({**values, "output_dir": str(out / name)}))
+"""
+
+# one BLAS thread on both sides, as in the benchmark's own runs
+_THREADS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
+            "BLIS_NUM_THREADS", "VECLIB_MAXIMUM_THREADS", "NUMEXPR_NUM_THREADS")
+
+
+def run_sides(base_src: Path, new_src: Path, specs: dict, workdir: Path) -> None:
+    """Run every spec on both sources at once, into workdir/base and workdir/new."""
+    env = {**os.environ, **{v: "1" for v in _THREADS}}
+    workdir = workdir.resolve()
+    procs = []
+    for side, src in (("base", base_src.resolve()), ("new", new_src.resolve())):
+        cmd = [sys.executable, "-c", _RUNNER, str(src), str(workdir / side), json.dumps(specs)]
+        procs.append((side, subprocess.Popen(cmd, cwd=workdir, env={**env, "PYTHONPATH": str(src)},
+                                             stderr=subprocess.PIPE, text=True)))
+    failures = []
+    for side, proc in procs:    # wait for both before reporting either
+        _, err = proc.communicate()
+        if proc.returncode != 0:
+            failures.append(f"the {side} side failed:\n{err}")
+    if failures:
+        raise RuntimeError("\n".join(failures))
+
+
+def _csv_bytes(rows: list[list[str]]) -> bytes:
+    buf = io.StringIO(newline="")
+    csv.writer(buf).writerows(rows)
+    return buf.getvalue().encode("utf-8")
+
+
+def _comparable(path: Path) -> bytes:
+    """The file's bytes, minus the wall_ms column of a CSV that the csv
+    module wrote (any other file is compared whole)."""
+    raw = path.read_bytes()
+    if path.suffix != ".csv":
+        return raw
+    rows = list(csv.reader(io.StringIO(raw.decode("utf-8"), newline="")))
+    if not rows or "wall_ms" not in rows[0] or _csv_bytes(rows) != raw:
+        return raw
+    i = rows[0].index("wall_ms")
+    return _csv_bytes([r[:i] + r[i + 1:] for r in rows])
+
+
+def _results(out: Path) -> dict:
+    """(method, M, trial) -> results.csv row, as a dict; empty if absent."""
+    path = out / "results.csv"
+    if not path.exists():
+        return {}
+    with open(path, newline="", encoding="utf-8") as fh:
+        return {(r["method"], r["M"], r["trial"]): r for r in csv.DictReader(fh)}
+
+
+def compare_outputs(base: Path, new: Path, names) -> tuple[bool, list[str]]:
+    """Compare the output directories base/<name> and new/<name> per spec
+    name: (every file identical, report lines)."""
+    lines = []
+    n_same = n_all = 0
+    for name in names:
+        files = sorted({p.name for p in (base / name).iterdir()}
+                       | {p.name for p in (new / name).iterdir()})
+        differ = []
+        for f in files:
+            a, b = base / name / f, new / name / f
+            if not (a.exists() and b.exists()):
+                differ.append(f"{f} (only in {'base' if a.exists() else 'new'})")
+            elif _comparable(a) != _comparable(b):
+                differ.append(f)
+        n_all += len(files)
+        n_same += len(files) - len(differ)
+
+        rows_a, rows_b = _results(base / name), _results(new / name)
+        worst = 0.0
+        iters = []
+        for key in sorted(rows_a.keys() & rows_b.keys()):
+            ra, rb = rows_a[key], rows_b[key]
+            da, db = float(ra["rate_bits"]), float(rb["rate_bits"])
+            if not (math.isnan(da) or math.isnan(db)):
+                worst = max(worst, abs(da - db))
+            if ra["iterations"] != rb["iterations"]:
+                iters.append(f"{'/'.join(key)}: {ra['iterations']} -> {rb['iterations']}")
+        lines.append(f"{name}: {len(files) - len(differ)} of {len(files)} files identical, "
+                     f"max |d rate_bits| {worst:.3g}")
+        lines += [f"  differs: {f}" for f in differ]
+        lines += [f"  iterations differ: {s}" for s in iters]
+        for side, rows in (("base", rows_a), ("new", rows_b)):
+            lines += [f"  error row ({side}): {'/'.join(k)}"
+                      for k, r in rows.items() if r["converged"] == "error"]
+    lines.append(f"{n_same} of {n_all} files identical")
+    return n_same == n_all, lines
+
+
+def compare(base_src: Path, new_src: Path, specs: dict, workdir: Path) -> tuple[bool, list[str]]:
+    """Run specs on both sources under workdir and compare their outputs."""
+    run_sides(base_src, new_src, specs, workdir)
+    return compare_outputs(workdir / "base", workdir / "new", specs)
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("ref", help="git ref to compare the working tree with")
+    args = parser.parse_args(argv)
+    with tempfile.TemporaryDirectory() as tmp:
+        workdir = Path(tmp)
+        archive = subprocess.run(["git", "-C", str(ROOT), "archive", "--format=tar",
+                                  args.ref, "src"], capture_output=True)
+        if archive.returncode != 0:
+            print(f"error: {archive.stderr.decode().strip()}", file=sys.stderr)
+            return 2
+        with tarfile.open(fileobj=io.BytesIO(archive.stdout)) as tar:
+            tar.extractall(workdir / "ref", filter="data")
+        try:
+            same, lines = compare(workdir / "ref" / "src", ROOT / "src", SPECS, workdir)
+        except RuntimeError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
+    print(f"base: {args.ref}; new: the working tree")
+    print("\n".join(lines))
+    return 0 if same else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main())
