@@ -42,7 +42,8 @@ class Scenario:
     rho is the transmit SNR P/sigma^2 as a linear factor; pl0_db the
     reference path loss at 1 m. The Rician factor applies to both
     RIS-side links; the direct link is Rayleigh and can be zeroed out
-    entirely with direct_blocked.
+    entirely with direct_blocked. Construction rejects coincident
+    positions and a link power gain above 1.
     """
 
     nt: int = 4
@@ -60,18 +61,32 @@ class Scenario:
 
     def __post_init__(self):
         if min(self.nt, self.nr, self.m) < 1:
-            raise ValueError("antenna and element counts must be >= 1")
+            raise ValueError("nt, nr and m must be >= 1")
         # negated comparisons, so that NaN fails too
         if not self.rho > 0:
             raise ValueError("rho must be > 0")
         if not (self.alpha_ris > 0 and self.alpha_direct > 0):
-            raise ValueError("path-loss exponents must be > 0")
+            raise ValueError("alpha_ris and alpha_direct must be > 0")
         if not self.k_rician >= 0:
             raise ValueError("k_rician must be >= 0")
         for name in ("tx_pos", "rx_pos", "ris_pos"):
             p = getattr(self, name)
             if len(p) != 3:
                 raise ValueError(f"{name} must have 3 coordinates")
+        # each link joins distinct positions and, being passive, has a power
+        # gain of at most 1, so its channels are finite and their products too
+        for a, b, alpha in (("tx_pos", "ris_pos", "alpha_ris"), ("ris_pos", "rx_pos", "alpha_ris"),
+                            ("tx_pos", "rx_pos", "alpha_direct")):
+            d = _dist(getattr(self, a), getattr(self, b))
+            if d == 0.0:
+                raise ValueError(f"{a} and {b} are coincident positions")
+            try:
+                gain = path_loss(d, getattr(self, alpha), self.pl0_db)
+            except OverflowError:
+                gain = math.inf
+            if not gain <= 1.0:
+                raise ValueError(f"pl0_db, {alpha}, {a} and {b} give a link power gain "
+                                 f"of {gain:.3g}, above 1")
 
     def with_elements(self, m: int) -> "Scenario":
         return replace(self, m=m)
@@ -102,10 +117,7 @@ class ChannelSet:
 
 
 def _dist(a, b) -> float:
-    d = float(np.linalg.norm(np.asarray(a, float) - np.asarray(b, float)))
-    if d == 0.0:
-        raise ValueError("coincident node positions")
-    return d
+    return float(np.linalg.norm(np.asarray(a, float) - np.asarray(b, float)))
 
 
 def link_distances(sc: Scenario) -> tuple[float, float, float]:

@@ -29,11 +29,9 @@ from .bdris import (
     InapplicableMethodError,
     RateObjective,
     Scenario,
-    _dist,
     gen_channels,
     low_cost_bdris,
     mo_u_proj_baseline,
-    path_loss,
     rate_bits,
 )
 from .linalg import NumericalError
@@ -69,7 +67,7 @@ CONFIG_DEFAULTS: dict = {
 class RunSpec:
     """Validated description of one experiment: scenario, element-count
     sweep, trial count, base seed, method list, optimizer settings, and
-    the output directory."""
+    the output directory. Every trial sets the scenario's element count."""
 
     scenario: Scenario
     sweep: tuple[int, ...]
@@ -82,8 +80,8 @@ class RunSpec:
     def __post_init__(self):
         if not self.sweep:
             raise ValueError("sweep must list at least one element count")
-        if any((not isinstance(m, int)) or m < 1 for m in self.sweep):
-            raise ValueError("sweep entries must be integers >= 1")
+        if any(m < 1 for m in self.sweep):
+            raise ValueError("sweep entries must be >= 1")
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
         if self.seed0 < 0:
@@ -97,104 +95,66 @@ class RunSpec:
             raise ValueError("methods must not repeat")
 
 
-def _expect_int(raw: dict, key: str) -> int:
-    v = raw[key]
-    if isinstance(v, bool) or not isinstance(v, int):
-        raise ValueError(f"config key {key!r} must be an integer, got {v!r}")
-    return v
+# type of a default -> what a value of its key must be
+_KINDS = {bool: "a boolean", int: "an integer", float: "a finite number", str: "a string"}
 
 
-def _number(key: str, v) -> float:
-    # the bound also rejects NaN and integers too large for a float
-    if isinstance(v, bool) or not isinstance(v, (int, float)) or not abs(v) <= sys.float_info.max:
-        raise ValueError(f"config key {key!r} must be a finite number, got {v!r}")
-    return float(v)
-
-
-def _expect_position(raw: dict, key: str) -> tuple[float, float, float]:
-    v = raw[key]
-    if not isinstance(v, (list, tuple)) or len(v) != 3:
-        raise ValueError(f"config key {key!r} must be a 3-entry coordinate list")
-    return tuple(_number(key, x) for x in v)
+def _typed(key: str, value, default):
+    """value checked against the type of its default: a bool, an int, a
+    finite number (an int becomes a float), a str, or a list or tuple whose
+    entries are checked against the default's first entry, returned as a
+    tuple. Anything else raises ValueError naming key."""
+    if isinstance(default, (list, tuple)):
+        if not isinstance(value, (list, tuple)):
+            raise ValueError(f"config key {key!r} must be a list, got {value!r}")
+        return tuple(_typed(f"{key}[{i}]", v, default[0]) for i, v in enumerate(value))
+    if isinstance(default, bool) or isinstance(value, bool):
+        ok = isinstance(default, bool) and isinstance(value, bool)
+    elif isinstance(default, float):
+        # the bound also rejects NaN and integers too large for a float
+        ok = isinstance(value, (int, float)) and abs(value) <= sys.float_info.max
+    else:
+        ok = isinstance(value, type(default))
+    if not ok:
+        raise ValueError(f"config key {key!r} must be {_KINDS[type(default)]}, got {value!r}")
+    return type(default)(value)
 
 
 def build_run_spec(values: dict) -> RunSpec:
     """RunSpec from a flat key-value mapping; every key optional, unknown
-    keys rejected, every number finite, positions distinct, each link's
-    power gain at most 1. rho is given in dB (rho_db) and converted to
-    linear. A bad value raises ValueError naming its key, before anything
-    is run or written."""
+    keys rejected, every value of its default's type. rho is given in dB
+    (rho_db) and converted to linear. Ranges are checked by Scenario,
+    OptimizerConfig and RunSpec. A bad value raises ValueError naming its
+    key, before anything is run or written."""
     unknown = sorted(set(values) - set(CONFIG_DEFAULTS))
     if unknown:
         raise ValueError(
             f"unknown config keys {unknown}; allowed keys: {sorted(CONFIG_DEFAULTS)}")
     raw = {**CONFIG_DEFAULTS, **values}
+    if isinstance(raw["sweep"], int) and not isinstance(raw["sweep"], bool):
+        raw["sweep"] = [raw["sweep"]]
+    if isinstance(raw["methods"], str):
+        raw["methods"] = [s.strip() for s in raw["methods"].split(",") if s.strip()]
+    v = {key: _typed(key, raw[key], default) for key, default in CONFIG_DEFAULTS.items()}
 
-    sweep = raw["sweep"]
-    if isinstance(sweep, int) and not isinstance(sweep, bool):
-        sweep = [sweep]
-    if not isinstance(sweep, (list, tuple)):
-        raise ValueError("config key 'sweep' must be a list of element counts")
-    methods = raw["methods"]
-    if isinstance(methods, str):
-        methods = [s.strip() for s in methods.split(",") if s.strip()]
-    if not isinstance(methods, (list, tuple)) or not all(isinstance(m, str) for m in methods):
-        raise ValueError(f"config key 'methods' must be a list of method names, got {methods!r}")
-    if not isinstance(raw["direct_blocked"], bool):
-        raise ValueError("config key 'direct_blocked' must be a boolean")
-    if not isinstance(raw["output_dir"], str):
-        raise ValueError("config key 'output_dir' must be a string")
-
-    if any(isinstance(m, bool) or not isinstance(m, int) for m in sweep):
-        raise ValueError(f"config key 'sweep' must list integer element counts, got {sweep!r}")
-    sweep = tuple(sweep)
-    rho_db = _number("rho_db", raw["rho_db"])
     try:
-        rho = 10.0 ** (rho_db / 10.0)
+        rho = 10.0 ** (v["rho_db"] / 10.0)
     except OverflowError:
         rho = math.inf
     if not 0.0 < rho < math.inf:
-        raise ValueError(f"config key 'rho_db' must give a finite SNR > 0, got {rho_db!r}")
+        raise ValueError(f"config key 'rho_db' must give a finite SNR > 0, got {v['rho_db']!r}")
     scenario = Scenario(
-        nt=_expect_int(raw, "nt"),
-        nr=_expect_int(raw, "nr"),
-        m=sweep[0] if sweep else 1,
-        tx_pos=_expect_position(raw, "tx_pos"),
-        rx_pos=_expect_position(raw, "rx_pos"),
-        ris_pos=_expect_position(raw, "ris_pos"),
-        k_rician=_number("k_rician", raw["k_rician"]),
-        alpha_ris=_number("alpha_ris", raw["alpha_ris"]),
-        alpha_direct=_number("alpha_direct", raw["alpha_direct"]),
-        rho=rho,
-        pl0_db=_number("pl0_db", raw["pl0_db"]),
-        direct_blocked=raw["direct_blocked"],
-    )
-    # each link joins distinct positions and, being passive, has a power
-    # gain of at most 1, so its channels are finite and their products too
-    for a, b, alpha in (("tx_pos", "ris_pos", "alpha_ris"), ("ris_pos", "rx_pos", "alpha_ris"),
-                        ("tx_pos", "rx_pos", "alpha_direct")):
-        try:
-            pl = path_loss(_dist(getattr(scenario, a), getattr(scenario, b)),
-                           getattr(scenario, alpha), scenario.pl0_db)
-        except ValueError:
-            raise ValueError(f"config keys {a!r} and {b!r} must be distinct positions") from None
-        except OverflowError:
-            pl = math.inf
-        if not pl <= 1.0:
-            raise ValueError(f"config keys 'pl0_db', {alpha!r}, {a!r} and {b!r} give a link "
-                             f"power gain of {pl:.3g}, above 1")
-    optimizer = OptimizerConfig(
-        epsilon=_number("epsilon", raw["epsilon"]),
-        max_iters=_expect_int(raw, "max_iters"),
-    )
+        nt=v["nt"], nr=v["nr"], tx_pos=v["tx_pos"], rx_pos=v["rx_pos"], ris_pos=v["ris_pos"],
+        k_rician=v["k_rician"], alpha_ris=v["alpha_ris"], alpha_direct=v["alpha_direct"],
+        rho=rho, pl0_db=v["pl0_db"], direct_blocked=v["direct_blocked"])
     return RunSpec(
         scenario=scenario,
-        sweep=sweep,
-        trials=_expect_int(raw, "trials"),
-        seed0=_expect_int(raw, "seed0"),
-        methods=tuple(methods),
-        optimizer=optimizer,
-        output_dir=raw["output_dir"],
+        sweep=v["sweep"],
+        trials=v["trials"],
+        seed0=v["seed0"],
+        methods=v["methods"],
+        optimizer=OptimizerConfig(epsilon=v["epsilon"], max_iters=v["max_iters"]),
+        output_dir=v["output_dir"],
     )
 
 

@@ -8,6 +8,7 @@ with bracketed refinement for the per-phase closed form.
 
 import math
 import warnings
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -31,6 +32,7 @@ from unisym.bdris import (
     rate,
     rate_bits,
 )
+from unisym.harness import METHODS
 from unisym.linalg import NumericalError
 from unisym.manifold import (
     GeodesicFrame,
@@ -103,7 +105,8 @@ class TestScenario:
     def test_invalid_budget_rejected(self):
         for field, value in (("rho", 0.0), ("alpha_ris", -1.0), ("k_rician", -0.5),
                              ("rho", math.nan), ("alpha_ris", math.nan),
-                             ("alpha_direct", math.nan), ("k_rician", math.nan)):
+                             ("alpha_direct", math.nan), ("k_rician", math.nan),
+                             ("pl0_db", -3000.0), ("ris_pos", (50.0, 0.0, 1.5))):
             with pytest.raises(ValueError):
                 Scenario(**{field: value})
 
@@ -123,9 +126,8 @@ class TestScenario:
         assert d_rr == pytest.approx(3.354, abs=1e-3)
 
     def test_coincident_positions_rejected(self):
-        sc = Scenario(tx_pos=(1.0, 2.0, 3.0), ris_pos=(1.0, 2.0, 3.0))
         with pytest.raises(ValueError, match="coincident"):
-            link_distances(sc)
+            Scenario(tx_pos=(1.0, 2.0, 3.0), ris_pos=(1.0, 2.0, 3.0))
 
     def test_path_loss_formula(self):
         assert path_loss(1.0, 2.0, 30.0) == pytest.approx(1e-3, rel=1e-12)
@@ -638,3 +640,46 @@ class TestMoUProjBaseline:
                                           OptimizerConfig(max_iters=20))
         assert P.max_residual() <= 1e-8
         assert trace.iterations >= 1
+
+
+class TestStationarity:
+    def test_live_desk_link_reaches_a_stationary_point(self):
+        # the paper's convergence claim: run to a tight epsilon and the
+        # Riemannian gradient norm falls by five orders of magnitude
+        sc = Scenario(m=64)
+        cfg = OptimizerConfig(epsilon=1e-13, max_iters=400)
+        for s in range(4):
+            ch = gen_channels(sc, seed=s)
+            start = us_random(64, seed=np.random.SeedSequence((s, 0, 64)))
+            _, trace = optimize_us(RateObjective(ch, sc.rho), start, cfg)
+            assert trace.status == "converged", s
+            assert trace.records[-1].grad_norm <= 1e-5 * trace.records[1].grad_norm, s
+
+
+class TestFuzz:
+    def test_every_draw_ends_in_a_named_outcome(self):
+        # a finite rate with a monotone trace, an inapplicable method or a
+        # NumericalError; anything else raised fails the test
+        rng = np.random.default_rng(0)
+        outcomes = Counter()
+        for draw in range(120):
+            sc = Scenario(nr=int(rng.integers(1, 9)), nt=int(rng.integers(1, 9)),
+                          m=int(rng.choice([1, 2, 3, 17])),
+                          k_rician=float(rng.choice([0.0, 3.0, 1e6])),
+                          rho=10.0 ** (rng.uniform(0.0, 340.0) / 10.0),
+                          direct_blocked=bool(rng.integers(2)))
+            ch = gen_channels(sc, seed=draw)
+            for method, run in METHODS.items():
+                try:
+                    P, trace = run(ch, sc.rho, 0, draw, OptimizerConfig())
+                    rb = rate_bits(ch, P, sc.rho)
+                except InapplicableMethodError:
+                    outcomes["inapplicable"] += 1
+                    continue
+                except NumericalError:
+                    outcomes["numerical"] += 1
+                    continue
+                assert math.isfinite(rb), (draw, method)
+                assert trace is None or trace.is_monotone(), (draw, method)
+                outcomes["finite"] += 1
+        assert set(outcomes) == {"finite", "inapplicable", "numerical"}, outcomes
