@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
+from scipy.linalg import cho_solve
 
 from .linalg import NumericalError
 from .manifold import (
@@ -43,7 +43,7 @@ class Scenario:
     reference path loss at 1 m. The Rician factor applies to both
     RIS-side links; the direct link is Rayleigh and can be zeroed out
     entirely with direct_blocked. Construction rejects coincident
-    positions and a link power gain above 1.
+    positions and a link power gain outside (0, 1].
     """
 
     nt: int = 4
@@ -74,19 +74,20 @@ class Scenario:
             if len(p) != 3:
                 raise ValueError(f"{name} must have 3 coordinates")
         # each link joins distinct positions and, being passive, has a power
-        # gain of at most 1, so its channels are finite and their products too
+        # gain of at most 1, so its channels are finite and their products
+        # too; a gain that underflows to 0 would silence the link
         for a, b, alpha in (("tx_pos", "ris_pos", "alpha_ris"), ("ris_pos", "rx_pos", "alpha_ris"),
                             ("tx_pos", "rx_pos", "alpha_direct")):
-            d = _dist(getattr(self, a), getattr(self, b))
+            d = math.dist(getattr(self, a), getattr(self, b))
             if d == 0.0:
                 raise ValueError(f"{a} and {b} are coincident positions")
             try:
                 gain = path_loss(d, getattr(self, alpha), self.pl0_db)
             except OverflowError:
                 gain = math.inf
-            if not gain <= 1.0:
+            if not 0.0 < gain <= 1.0:
                 raise ValueError(f"pl0_db, {alpha}, {a} and {b} give a link power gain "
-                                 f"of {gain:.3g}, above 1")
+                                 f"of {gain:.3g}, outside (0, 1]")
 
     def with_elements(self, m: int) -> "Scenario":
         return replace(self, m=m)
@@ -116,15 +117,11 @@ class ChannelSet:
         return self.F.shape[1]
 
 
-def _dist(a, b) -> float:
-    return float(np.linalg.norm(np.asarray(a, float) - np.asarray(b, float)))
-
-
 def link_distances(sc: Scenario) -> tuple[float, float, float]:
     """(Tx-RIS, RIS-Rx, Tx-Rx) distances in meters."""
-    return (_dist(sc.tx_pos, sc.ris_pos),
-            _dist(sc.ris_pos, sc.rx_pos),
-            _dist(sc.tx_pos, sc.rx_pos))
+    return (math.dist(sc.tx_pos, sc.ris_pos),
+            math.dist(sc.ris_pos, sc.rx_pos),
+            math.dist(sc.tx_pos, sc.rx_pos))
 
 
 def path_loss(d: float, alpha: float, pl0_db: float) -> float:
@@ -225,10 +222,10 @@ def euclid_grad(ch: ChannelSet, Theta, rho: float) -> np.ndarray:
     H = h_eq(ch, Theta)
     E = np.eye(H.shape[0]) + rho * (H @ H.conj().T)
     try:
-        cho = cho_factor((E + E.conj().T) / 2.0, lower=True)
+        L = np.linalg.cholesky((E + E.conj().T) / 2.0)
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"gradient argument lost positive definiteness: {exc}") from exc
-    X = cho_solve(cho, H)
+    X = cho_solve((L, True), H)
     return 2.0 * rho * (ch.F.conj().T @ X @ ch.G)
 
 

@@ -10,29 +10,17 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .harness import METHODS, bench, load_run_spec, run_experiment
+from .harness import CONFIG_DEFAULTS, METHODS, bench, load_run_spec, run_experiment
 
 
 def _add_common(p: argparse.ArgumentParser) -> None:
+    # each override's dest is its config key
     p.add_argument("spec_file", help="YAML run spec (flat key-value)")
-    p.add_argument("--out", metavar="DIR", help="output directory override")
+    p.add_argument("--out", dest="output_dir", metavar="DIR", help="output directory override")
     p.add_argument("--trials", type=int, metavar="N", help="trial count override")
-    p.add_argument("--seed", type=int, metavar="N", help="base seed override")
+    p.add_argument("--seed", dest="seed0", type=int, metavar="N", help="base seed override")
     p.add_argument("--methods", metavar="a,b,c",
                    help=f"comma-separated subset of {','.join(METHODS)}")
-
-
-def _overrides(args: argparse.Namespace) -> dict:
-    out: dict = {}
-    if args.out is not None:
-        out["output_dir"] = args.out
-    if args.trials is not None:
-        out["trials"] = args.trials
-    if args.seed is not None:
-        out["seed0"] = args.seed
-    if args.methods is not None:
-        out["methods"] = args.methods    # build_run_spec splits it at commas
-    return out
 
 
 def main(argv=None) -> int:
@@ -46,7 +34,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     try:
-        spec = load_run_spec(args.spec_file, _overrides(args))
+        overrides = {key: value for key, value in vars(args).items()
+                     if key in CONFIG_DEFAULTS and value is not None}
+        spec = load_run_spec(args.spec_file, overrides)
         if args.command == "run":
             result = run_experiment(spec)
             for method in spec.methods:

@@ -18,7 +18,7 @@ import math
 import statistics
 import sys
 import time
-from dataclasses import astuple, dataclass, fields
+from dataclasses import astuple, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -41,27 +41,6 @@ from .optimizer import OptimizerConfig, optimize_us
 TRACE_HEADER = ["k", "F_bits", "wall_ms"]
 ERRORS_HEADER = ["method", "M", "trial", "seed", "error"]
 
-CONFIG_DEFAULTS: dict = {
-    "nt": 4,
-    "nr": 4,
-    "tx_pos": [0.0, 0.0, 1.5],
-    "rx_pos": [50.0, 0.0, 1.5],
-    "ris_pos": [50.0, 3.0, 3.0],
-    "k_rician": 3.0,
-    "alpha_ris": 2.0,
-    "alpha_direct": 3.75,
-    "rho_db": 130.0,
-    "pl0_db": 50.0,
-    "direct_blocked": False,
-    "sweep": [16, 32, 64, 128],
-    "trials": 50,
-    "seed0": 0,
-    "methods": ["mo_us", "mo_u_proj", "low_cost"],
-    "epsilon": 1e-3,
-    "max_iters": 100,
-    "output_dir": "results",
-}
-
 
 @dataclass(frozen=True)
 class RunSpec:
@@ -69,13 +48,13 @@ class RunSpec:
     sweep, trial count, base seed, method list, optimizer settings, and
     the output directory. Every trial sets the scenario's element count."""
 
-    scenario: Scenario
-    sweep: tuple[int, ...]
-    trials: int
-    seed0: int
-    methods: tuple[str, ...]
-    optimizer: OptimizerConfig
-    output_dir: str
+    scenario: Scenario = Scenario()
+    sweep: tuple[int, ...] = (16, 32, 64, 128)
+    trials: int = 50
+    seed0: int = 0
+    methods: tuple[str, ...] = ("mo_us", "mo_u_proj", "low_cost")
+    optimizer: OptimizerConfig = field(default_factory=OptimizerConfig)
+    output_dir: str = "results"
 
     def __post_init__(self):
         if not self.sweep:
@@ -93,6 +72,22 @@ class RunSpec:
             raise ValueError(f"unknown methods {bad}; choose from {list(METHODS)}")
         if len(set(self.methods)) != len(self.methods):
             raise ValueError("methods must not repeat")
+
+
+def _field_defaults(cls, skip: tuple[str, ...] = ()) -> dict:
+    # tuples as lists, so that the defaults written as YAML load back equal
+    return {f.name: list(f.default) if isinstance(f.default, tuple) else f.default
+            for f in fields(cls) if f.name not in skip}
+
+
+# every config key with its default: the fields of Scenario (m is set per
+# trial, rho is given in dB), of RunSpec and of OptimizerConfig
+CONFIG_DEFAULTS: dict = {
+    **_field_defaults(Scenario, ("m", "rho")),
+    "rho_db": 10.0 * math.log10(Scenario.rho),
+    **_field_defaults(RunSpec, ("scenario", "optimizer")),
+    **_field_defaults(OptimizerConfig),
+}
 
 
 # type of a default -> what a value of its key must be
@@ -120,6 +115,11 @@ def _typed(key: str, value, default):
     return type(default)(value)
 
 
+def _from_keys(cls, v: dict, **given):
+    """cls built from the config values of its fields, plus the given ones."""
+    return cls(**{f.name: v[f.name] for f in fields(cls) if f.name in v}, **given)
+
+
 def build_run_spec(values: dict) -> RunSpec:
     """RunSpec from a flat key-value mapping; every key optional, unknown
     keys rejected, every value of its default's type. rho is given in dB
@@ -143,19 +143,8 @@ def build_run_spec(values: dict) -> RunSpec:
         rho = math.inf
     if not 0.0 < rho < math.inf:
         raise ValueError(f"config key 'rho_db' must give a finite SNR > 0, got {v['rho_db']!r}")
-    scenario = Scenario(
-        nt=v["nt"], nr=v["nr"], tx_pos=v["tx_pos"], rx_pos=v["rx_pos"], ris_pos=v["ris_pos"],
-        k_rician=v["k_rician"], alpha_ris=v["alpha_ris"], alpha_direct=v["alpha_direct"],
-        rho=rho, pl0_db=v["pl0_db"], direct_blocked=v["direct_blocked"])
-    return RunSpec(
-        scenario=scenario,
-        sweep=v["sweep"],
-        trials=v["trials"],
-        seed0=v["seed0"],
-        methods=v["methods"],
-        optimizer=OptimizerConfig(epsilon=v["epsilon"], max_iters=v["max_iters"]),
-        output_dir=v["output_dir"],
-    )
+    return _from_keys(RunSpec, v, scenario=_from_keys(Scenario, v, rho=rho),
+                      optimizer=_from_keys(OptimizerConfig, v))
 
 
 def load_run_spec(path, overrides: dict | None = None) -> RunSpec:

@@ -41,14 +41,12 @@ def eig_real_symmetric(R: np.ndarray) -> RealSymEig:
     """Eigendecomposition R = V diag(lam) V^T of a real symmetric matrix.
 
     Eigenvalues are returned in descending order with V real orthogonal.
-    The input is symmetrized as (R + R^T)/2 before factoring; an imaginary
-    part or asymmetry beyond 1e-10 (relative) is a contract violation.
+    The input is symmetrized as (R + R^T)/2 before factoring; a complex
+    input or an asymmetry beyond 1e-10 (relative) is a contract violation.
     """
     R = _square(np.asarray(R), "R")
     if np.iscomplexobj(R):
-        if np.max(np.abs(R.imag)) > 1e-10 * max(1.0, np.linalg.norm(R)):
-            raise ValueError("R must be real")
-        R = R.real
+        raise ValueError("R must be real")
     scale = max(1.0, np.linalg.norm(R))
     if np.linalg.norm(R - R.T) > 1e-10 * scale:
         raise ValueError("R is not symmetric within tolerance")
@@ -64,10 +62,7 @@ def _block_principal_sqrt(Z: np.ndarray) -> np.ndarray:
     eigenphases are halved into (-pi/2, pi/2].
     """
     if Z.shape[0] == 1:
-        z = Z[0, 0]
-        if abs(z) < 1e-300:
-            return np.array([[1.0 + 0j]])
-        return np.array([[np.exp(0.5j * np.angle(z))]])
+        return np.array([[np.exp(0.5j * np.angle(Z[0, 0]))]])
     u, _, vh = np.linalg.svd(Z)
     T, V = scipy.linalg.schur(u @ vh, output="complex")
     half = np.exp(0.5j * np.angle(np.diag(T)))

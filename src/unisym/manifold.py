@@ -98,10 +98,6 @@ class UPoint:
 
     U: np.ndarray
 
-    @property
-    def n(self) -> int:
-        return self.U.shape[0]
-
     def max_residual(self) -> float:
         """||U U^H - I||_F."""
         return _unitarity_residual(self.U)

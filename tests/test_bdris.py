@@ -106,7 +106,9 @@ class TestScenario:
         for field, value in (("rho", 0.0), ("alpha_ris", -1.0), ("k_rician", -0.5),
                              ("rho", math.nan), ("alpha_ris", math.nan),
                              ("alpha_direct", math.nan), ("k_rician", math.nan),
-                             ("pl0_db", -3000.0), ("ris_pos", (50.0, 0.0, 1.5))):
+                             ("pl0_db", -3000.0), ("ris_pos", (50.0, 0.0, 1.5)),
+                             ("tx_pos", (0.0, 1.5)), ("tx_pos", (1e200, 1e200, 1.5)),
+                             ("tx_pos", (math.inf, 0.0, 1.5))):
             with pytest.raises(ValueError):
                 Scenario(**{field: value})
 
@@ -263,6 +265,8 @@ class TestRate:
         ch = make_channels(rng, 2, 2, 4)
         with pytest.raises(ValueError):
             rate(ch, np.eye(4), rho=0.0)
+        with pytest.raises(ValueError):
+            euclid_grad(ch, np.eye(4), rho=0.0)
 
     def test_invariant_under_factor_refresh(self):
         # the rate depends on the point's matrix only, not on which Takagi

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 import yaml
 
+from unisym.bdris import Scenario
 from unisym.cli import main
 from unisym.harness import (
     BENCH_HEADER,
@@ -24,6 +25,7 @@ from unisym.harness import (
     load_run_spec,
     run_experiment,
 )
+from unisym.optimizer import OptimizerConfig
 
 
 def read_csv(path):
@@ -92,6 +94,8 @@ class TestConfig:
             tiny_spec("o", trials=0)
         with pytest.raises(ValueError):
             tiny_spec("o", sweep=[])
+        with pytest.raises(ValueError, match="sweep entries"):
+            tiny_spec("o", sweep=[0])
         with pytest.raises(ValueError):
             tiny_spec("o", methods=[])
         with pytest.raises(ValueError, match="unknown methods"):
@@ -104,6 +108,12 @@ class TestConfig:
             tiny_spec("o", trials="many")
         with pytest.raises(ValueError):
             tiny_spec("o", seed0=-1)
+
+    def test_no_values_give_the_class_defaults(self):
+        spec = build_run_spec({})
+        assert spec.scenario == Scenario()
+        assert spec.optimizer == OptimizerConfig()
+        assert spec == RunSpec()
 
     def test_blocked_flag_reaches_scenario(self):
         spec = tiny_spec("o", direct_blocked=True)
@@ -326,16 +336,19 @@ class TestCli:
 
     def test_bad_config_exits_nonzero(self, tmp_path, capsys):
         cfg = tmp_path / "spec.yaml"
-        cfg.write_text("no_such_key: 1\n")
-        assert main(["run", str(cfg)]) == 2
-        assert "error:" in capsys.readouterr().err
+        for text, message in (("no_such_key: 1\n", "no_such_key"),
+                              ("- 4\n- 8\n", "key-value mapping")):
+            cfg.write_text(text)
+            assert main(["run", str(cfg)]) == 2
+            err = capsys.readouterr().err
+            assert "error:" in err and message in err
 
     @pytest.mark.parametrize("key,value", [
         ("rho_db", 4000.0), ("rho_db", -4000.0), ("rho_db", math.nan),
         ("k_rician", math.nan), ("epsilon", math.nan),
         ("sweep", [16.7]), ("sweep", [True]), ("sweep", ["16"]),
         ("methods", [[1]]), ("pl0_db", -4000.0), ("ris_pos", [50.0, 0.0, 1.5]),
-        ("pl0_db", -3000.0)])
+        ("pl0_db", -3000.0), ("tx_pos", 1.0), ("tx_pos", [1.0e200, 1.0e200, 1.5])])
     def test_bad_value_rejected_before_any_work(self, tmp_path, capsys, key, value):
         cfg = self.write_cfg(tmp_path, **{key: value})
         assert main(["run", str(cfg)]) == 2

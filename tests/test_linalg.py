@@ -59,6 +59,11 @@ class TestEigRealSymmetric:
         with pytest.raises(ValueError):
             eig_real_symmetric(R)
 
+    def test_complex_rejected(self):
+        # a complex array is rejected even when its imaginary part is zero
+        with pytest.raises(ValueError, match="real"):
+            eig_real_symmetric(np.eye(2, dtype=complex))
+
 
 def takagi_residuals(A):
     Q, sigma = takagi(A)

@@ -78,6 +78,8 @@ class TestUsRandom:
     def test_zero_dim_rejected(self):
         with pytest.raises(ValueError):
             us_random(0, seed=1)
+        with pytest.raises(ValueError):
+            u_random(0, seed=1)
 
 
 class TestUsTangentProject:
@@ -106,6 +108,10 @@ class TestUsTangentProject:
         P = us_random(4, seed=4)
         with pytest.raises(ValueError):
             us_tangent_project(P, np.zeros((3, 3)))
+        with pytest.raises(ValueError):
+            u_tangent_project(u_random(4, seed=4), np.zeros((3, 3)))
+        with pytest.raises(ValueError, match="dimension"):
+            us_geodesic_frame(P, TangentDirection(R=np.zeros((3, 3))))
 
     def test_embedded_vector_properties(self):
         # tangent characterization: U^H B + B^H U = 0 and B symmetric
