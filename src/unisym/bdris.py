@@ -16,7 +16,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 from scipy.linalg import cho_solve
 
-from .linalg import NumericalError
+from .linalg import NumericalError, takagi
 from .manifold import (
     GeodesicFrame,
     UPoint,
@@ -318,17 +318,25 @@ class RateObjective(Objective):
 
 
 def low_cost_bdris(ch: ChannelSet) -> UsPoint:
-    """Training-free surface: retraction of F^H Hd G + its transpose.
+    """Training-free surface: a nearest point of Us to T = A + A^T, where
+    A = F^H Hd G. Needs a live direct link; raises InapplicableMethodError
+    when Hd = 0.
 
-    Needs a live direct link; raises InapplicableMethodError when Hd = 0.
-    The retracted matrix has rank at most 2 min(nr, nt), so for m beyond
-    that the nearest point is inherently non-unique and the retraction
-    returns one valid choice.
+    The columns of T lie in range([F^H, G^T]), which the first
+    k = min(m, nr + nt) columns Yk of a complete QR factor Y of [F^H, G^T]
+    span, or contain when F or G is rank-deficient. The Takagi factor of
+    the k x k matrix Yk^H T conj(Yk), mapped back by Yk and completed by
+    the other columns of Y, is a nearest point, at O(m^2 (nr + nt)) rather
+    than O(m^3). Any unitary completion is as near, and F and G^*
+    annihilate it, so the channel does not depend on the choice.
     """
     if not np.any(ch.Hd):
         raise InapplicableMethodError("low-cost surface needs a direct link (Hd is zero)")
-    A = ch.F.conj().T @ ch.Hd @ ch.G
-    return us_retract(A + A.T)
+    Y, _ = np.linalg.qr(np.hstack((ch.F.conj().T, ch.G.T)), mode="complete")
+    k = min(ch.m, ch.Hd.shape[0] + ch.Hd.shape[1])
+    Yk = Y[:, :k]
+    C = (ch.F @ Yk).conj().T @ ch.Hd @ (ch.G @ Yk.conj())    # Yk^H A conj(Yk)
+    return UsPoint(Q=np.hstack((Yk @ takagi(C + C.T).Q, Y[:, k:])))
 
 
 def mo_u_proj_baseline(ch: ChannelSet, rho: float, U0: UPoint,

@@ -15,6 +15,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+import re
 import statistics
 import sys
 import time
@@ -147,12 +148,24 @@ def build_run_spec(values: dict) -> RunSpec:
                       optimizer=_from_keys(OptimizerConfig, v))
 
 
+class _SpecLoader(yaml.SafeLoader):
+    """SafeLoader that also reads a YAML 1.2 float with an exponent, such as
+    1e-3 or 1E+2, as a float: YAML 1.1 needs a dot and a signed exponent,
+    and reads the rest as strings."""
+
+
+_SpecLoader.add_implicit_resolver(
+    "tag:yaml.org,2002:float",
+    re.compile(r"^[-+]?(?:[0-9]+(?:\.[0-9]*)?|\.[0-9]+)[eE][-+]?[0-9]+$"),
+    list("-+.0123456789"))
+
+
 def load_run_spec(path, overrides: dict | None = None) -> RunSpec:
     """RunSpec from a YAML file, with overrides (e.g. CLI flags) applied
     on top of the file values."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
-            data = yaml.safe_load(fh)
+            data = yaml.load(fh, Loader=_SpecLoader)
         except yaml.YAMLError as exc:
             raise ValueError(f"config file {path} is not valid YAML: {exc}") from exc
     if data is None:

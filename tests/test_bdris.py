@@ -612,6 +612,41 @@ class TestLowCost:
             P = low_cost_bdris(ch)
         assert P.max_residual() <= 1e-8
 
+    @pytest.mark.parametrize("k_rician", [0.0, 3.0, 1e6])
+    @pytest.mark.parametrize("nr,nt", [(1, 1), (4, 4), (8, 2), (2, 8)])
+    def test_as_near_as_the_full_retraction(self, nr, nt, k_rician):
+        # the m x m oracle retracts T = A + A^T directly; the subspace
+        # retraction may pick another nearest point (T is rank-deficient),
+        # but it must be as near, and give the same channel
+        for M in (1, 2, 3, 8, 17, 64):
+            sc = Scenario(nr=nr, nt=nt, m=M, k_rician=k_rician)
+            ch = gen_channels(sc, seed=M)
+            A = ch.F.conj().T @ ch.Hd @ ch.G
+            T = A + A.T
+            U = low_cost_bdris(ch).U
+            oracle = us_retract(T)
+            assert np.linalg.norm(U @ U.conj().T - np.eye(M)) <= 1e-10
+            assert np.linalg.norm(U - U.T) <= 1e-10
+            assert np.linalg.norm(T - U) == pytest.approx(
+                np.linalg.norm(T - oracle.U), abs=1e-12 * math.sqrt(M))
+            assert rate(ch, U, sc.rho) == pytest.approx(rate(ch, oracle, sc.rho), rel=1e-10)
+
+    def test_takagi_sees_only_the_channel_subspace(self, monkeypatch):
+        import unisym.bdris
+        import unisym.manifold
+        shapes = []
+
+        def recording(A, real=unisym.bdris.takagi):
+            shapes.append(np.shape(A))
+            return real(A)
+
+        monkeypatch.setattr(unisym.bdris, "takagi", recording)
+        monkeypatch.setattr(unisym.manifold, "takagi", recording)
+        for nr, nt in ((4, 4), (8, 2)):
+            low_cost_bdris(gen_channels(Scenario(nr=nr, nt=nt, m=64), seed=3))
+            assert shapes and all(s[0] <= nr + nt and s[1] <= nr + nt for s in shapes)
+            shapes.clear()
+
 
 class TestMoUProjBaseline:
     def test_zero_ris_link_keeps_direct_rate(self):

@@ -355,6 +355,25 @@ class TestCli:
         assert key in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("line,loaded", [
+        ("epsilon: 1e-3", lambda spec: spec.optimizer.epsilon == 1e-3),
+        ("rho_db: 1E+2", lambda spec: spec.scenario.rho == 1e10),
+        ("k_rician: 1.0e200", lambda spec: spec.scenario.k_rician == 1e200)])
+    def test_exponent_floats_accepted(self, tmp_path, line, loaded):
+        # YAML 1.1 reads these as strings
+        cfg = self.write_cfg(tmp_path)
+        cfg.write_text(cfg.read_text() + line + "\n")
+        assert loaded(load_run_spec(cfg))
+        assert main(["run", str(cfg)]) == 0
+
+    @pytest.mark.parametrize("line", ['epsilon: "1e-3"', "trials: 1e3"])
+    def test_quoted_float_and_float_count_rejected(self, tmp_path, capsys, line):
+        cfg = self.write_cfg(tmp_path)
+        cfg.write_text(cfg.read_text() + line + "\n")
+        assert main(["run", str(cfg)]) == 2
+        assert line.split(":")[0] in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_malformed_yaml_exits_two(self, tmp_path, capsys):
         cfg = tmp_path / "spec.yaml"
         cfg.write_text(f"sweep: [4, 8\noutput_dir: {tmp_path / 'out'}\n")

@@ -28,5 +28,9 @@ def test_working_tree_against_itself_then_a_changed_rate(tmp_path):
     same, lines = same_answers.compare_outputs(tmp_path / "base", tmp_path / "new", TINY)
     assert not same
     assert "  differs: results.csv" in lines
+    method, M, trial = rows[1][:3]
+    assert f"  rate differs: {method}/{M}/{trial}: |d| 1e-09" in lines
+    assert f"  max |d rate_bits| {method}: 1e-09" in lines
+    assert sum(line.startswith("  rate differs:") for line in lines) == 1
     assert lines[-1] == "5 of 6 files identical"
     assert lines[0].endswith("max |d rate_bits| 1e-09")

@@ -7,8 +7,10 @@ Runs four fixed run specs through `unisym.harness.run_experiment` twice,
 each side in its own interpreter: once on the `src/` of a `git archive`
 copy of <git-ref>, once on the working tree's `src/`. Each output file is
 compared byte for byte once its `wall_ms` column is dropped. The report
-names the files that differ, the largest |delta rate_bits| per spec, the
-rows whose iteration counts differ and the error rows on either side.
+names, per spec, the files that differ, the largest |delta rate_bits|,
+each (method, M, trial) row whose rate_bits differ with its |delta|, the
+largest |delta| per method, the rows whose iteration counts differ and
+the error rows on either side.
 Exit status: 0 when every file is identical, 1 when any differs, 2 when
 the ref cannot be read or a side fails to run.
 """
@@ -120,18 +122,23 @@ def compare_outputs(base: Path, new: Path, names) -> tuple[bool, list[str]]:
         n_same += len(files) - len(differ)
 
         rows_a, rows_b = _results(base / name), _results(new / name)
-        worst = 0.0
+        moved = []
+        per_method = {}     # method -> max |d rate_bits| over its rows
         iters = []
-        for key in sorted(rows_a.keys() & rows_b.keys()):
+        for key in [k for k in rows_a if k in rows_b]:
             ra, rb = rows_a[key], rows_b[key]
-            da, db = float(ra["rate_bits"]), float(rb["rate_bits"])
-            if not (math.isnan(da) or math.isnan(db)):
-                worst = max(worst, abs(da - db))
+            if ra["rate_bits"] != rb["rate_bits"]:
+                d = abs(float(ra["rate_bits"]) - float(rb["rate_bits"]))
+                moved.append(f"{'/'.join(key)}: |d| {d:.3g}")
+                if not math.isnan(d):
+                    per_method[key[0]] = max(per_method.get(key[0], 0.0), d)
             if ra["iterations"] != rb["iterations"]:
                 iters.append(f"{'/'.join(key)}: {ra['iterations']} -> {rb['iterations']}")
         lines.append(f"{name}: {len(files) - len(differ)} of {len(files)} files identical, "
-                     f"max |d rate_bits| {worst:.3g}")
+                     f"max |d rate_bits| {max(per_method.values(), default=0.0):.3g}")
         lines += [f"  differs: {f}" for f in differ]
+        lines += [f"  rate differs: {s}" for s in moved]
+        lines += [f"  max |d rate_bits| {m}: {d:.3g}" for m, d in per_method.items()]
         lines += [f"  iterations differ: {s}" for s in iters]
         for side, rows in (("base", rows_a), ("new", rows_b)):
             lines += [f"  error row ({side}): {'/'.join(k)}"
