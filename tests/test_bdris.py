@@ -71,8 +71,12 @@ def h_eq_loops(Hd, F, G, U):
 
 
 def rate_spectral(ch, U, rho):
-    """Rate through the eigenvalues of H H^H: sum ln(1 + rho lam_i)."""
+    """Rate through the eigenvalues of the smaller Gram matrix, H H^H or
+    H^H H: sum ln(1 + rho lam_i). The larger one adds only zero
+    eigenvalues, whose roundoff rho would scale into spurious nats."""
     H = ch.Hd + ch.F @ U @ ch.G.conj().T
+    if H.shape[1] < H.shape[0]:
+        H = H.conj().T
     lam = np.linalg.eigvalsh(H @ H.conj().T)
     return float(np.sum(np.log1p(rho * np.clip(lam, 0.0, None))))
 
