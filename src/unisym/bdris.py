@@ -14,7 +14,6 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.linalg import cho_solve
 
 from .linalg import NumericalError, takagi
 from .manifold import (
@@ -62,9 +61,8 @@ class Scenario:
     def __post_init__(self):
         if min(self.nt, self.nr, self.m) < 1:
             raise ValueError("nt, nr and m must be >= 1")
+        _check_rho(self.rho)
         # negated comparisons, so that NaN fails too
-        if not self.rho > 0:
-            raise ValueError("rho must be > 0")
         if not (self.alpha_ris > 0 and self.alpha_direct > 0):
             raise ValueError("alpha_ris and alpha_direct must be > 0")
         if not self.k_rician >= 0:
@@ -192,16 +190,31 @@ def h_eq(ch: ChannelSet, Theta) -> np.ndarray:
     return ch.Hd + ch.F @ A @ ch.G.conj().T
 
 
-def rate(ch: ChannelSet, Theta, rho: float) -> float:
-    """Achievable rate ln det(I + rho H_eq H_eq^H) in nats, via Cholesky."""
-    if rho <= 0:
-        raise ValueError("rho must be > 0")
+def _check_rho(rho: float) -> None:
+    # a negated comparison, so that NaN fails too
+    if not 0.0 < rho < math.inf:
+        raise ValueError(f"rho must be finite and > 0, got {rho}")
+
+
+def _gram_cholesky(ch: ChannelSet, Theta, rho: float, what: str) -> tuple[np.ndarray, np.ndarray]:
+    """H_eq at Theta and the lower Cholesky factor L of E = I + rho H_eq H_eq^H.
+
+    what names the caller's quantity in the NumericalError raised when E
+    loses positive definiteness in floating point.
+    """
+    _check_rho(rho)
     H = h_eq(ch, Theta)
     E = np.eye(H.shape[0]) + rho * (H @ H.conj().T)
     try:
         L = np.linalg.cholesky((E + E.conj().T) / 2.0)
     except np.linalg.LinAlgError as exc:
-        raise NumericalError(f"rate argument lost positive definiteness: {exc}") from exc
+        raise NumericalError(f"{what} argument lost positive definiteness: {exc}") from exc
+    return H, L
+
+
+def rate(ch: ChannelSet, Theta, rho: float) -> float:
+    """Achievable rate ln det(I + rho H_eq H_eq^H) in nats, via Cholesky."""
+    _, L = _gram_cholesky(ch, Theta, rho, "rate")
     return float(2.0 * np.sum(np.log(np.real(np.diag(L)))))
 
 
@@ -215,17 +228,11 @@ def euclid_grad(ch: ChannelSet, Theta, rho: float) -> np.ndarray:
     The conjugate-Wirtinger derivative of ln det E is rho F^H E^-1 H_eq G;
     the directional derivative along a perturbation D of Theta is twice
     its real inner product with D, so the metric gradient returned here
-    carries the factor 2. E^-1 is applied through Cholesky solves.
+    carries the factor 2. E^-1 = L^-H L^-1 is applied by two solves with
+    the Cholesky factor.
     """
-    if rho <= 0:
-        raise ValueError("rho must be > 0")
-    H = h_eq(ch, Theta)
-    E = np.eye(H.shape[0]) + rho * (H @ H.conj().T)
-    try:
-        L = np.linalg.cholesky((E + E.conj().T) / 2.0)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalError(f"gradient argument lost positive definiteness: {exc}") from exc
-    X = cho_solve((L, True), H)
+    H, L = _gram_cholesky(ch, Theta, rho, "gradient")
+    X = np.linalg.solve(L.conj().T, np.linalg.solve(L, H))
     return 2.0 * rho * (ch.F.conj().T @ X @ ch.G)
 
 

@@ -1,9 +1,10 @@
 """Dense complex linear-algebra kernels used by the geometry layer.
 
 All routines are pure functions of their ndarray inputs and fix their
-branch cuts (principal square roots, eigenphase halving) so downstream
-code gets deterministic factors. Contracts are residual bounds, checked
-by the callers' tests rather than re-verified on every call.
+choices (eigenphase halving, eigenvector bases from one `eigh`) so
+downstream code gets deterministic factors. Contracts are residual
+bounds, checked by the callers' tests rather than re-verified on every
+call.
 """
 
 from __future__ import annotations
@@ -11,7 +12,6 @@ from __future__ import annotations
 from typing import NamedTuple
 
 import numpy as np
-import scipy.linalg
 
 
 class NumericalError(RuntimeError):
@@ -54,43 +54,49 @@ def eig_real_symmetric(R: np.ndarray) -> RealSymEig:
     return RealSymEig(V=V[:, ::-1].copy(), lam=w[::-1].copy())
 
 
-def _block_principal_sqrt(Z: np.ndarray) -> np.ndarray:
-    """Principal square root of a (numerically) unitary block.
+def _group_root(W: np.ndarray) -> np.ndarray:
+    """A unitary R with R R^T = W, for a unitary symmetric W.
 
-    The block is first projected to the closest unitary matrix, then
-    diagonalized by a complex Schur step (exact for normal matrices);
-    eigenphases are halved into (-pi/2, pi/2].
+    A 1 x 1 W keeps the principal branch: its phase is halved into
+    (-pi/2, pi/2]. Otherwise R = X + jY, where (X; Y) is an orthonormal
+    basis of the eigenvalue +1 eigenspace of the real symmetric involution
+    [[Re W, Im W], [Im W, -Re W]], the real form of z -> W z*. Its
+    eigenvalues are exactly +1 and -1, and multiplication by j swaps the
+    two eigenspaces, so R is unitary and W conj(R) = R, i.e. W = R R^T.
     """
-    if Z.shape[0] == 1:
-        return np.array([[np.exp(0.5j * np.angle(Z[0, 0]))]])
-    u, _, vh = np.linalg.svd(Z)
-    T, V = scipy.linalg.schur(u @ vh, output="complex")
-    half = np.exp(0.5j * np.angle(np.diag(T)))
-    return (V * half) @ V.conj().T
+    k = W.shape[0]
+    if k == 1:
+        return np.array([[np.exp(0.5j * np.angle(W[0, 0]))]])
+    M = np.block([[W.real, W.imag], [W.imag, -W.real]])
+    _, V = np.linalg.eigh((M + M.T) / 2.0)
+    return V[:k, k:] + 1j * V[k:, k:]
 
 
 def _sigma_groups(sigma: np.ndarray, rel_gap: float) -> list[slice]:
-    """Slices of consecutive singular values closer than rel_gap * sigma_max."""
-    n = sigma.size
-    scale = sigma[0] if n and sigma[0] > 0 else 1.0
+    """Slices of consecutive singular values closer than rel_gap * sigma_max,
+    less the group whose largest value is within that of zero."""
+    tol = rel_gap * (sigma[0] if sigma.size and sigma[0] > 0 else 1.0)
     groups = []
     start = 0
-    for i in range(1, n):
-        if sigma[i - 1] - sigma[i] > rel_gap * scale:
-            groups.append(slice(start, i))
+    for i in range(1, sigma.size + 1):
+        if i == sigma.size or sigma[i - 1] - sigma[i] > tol:
+            if sigma[start] > tol:
+                groups.append(slice(start, i))
             start = i
-    groups.append(slice(start, n))
     return groups
 
 
 def takagi(A: np.ndarray) -> TakagiFactors:
     """Takagi factorization A = Q diag(sigma) Q^T of a complex symmetric matrix.
 
-    Built from the SVD A = F diag(sigma) G^H as Q = F (F^H G*)^(1/2).
+    Built from the SVD A = F diag(sigma) G^H as Q = F R, where R is block
+    diagonal with R R^T = F^H G* on each group of equal singular values.
     F^H G* is diagonal when the singular values are distinct; repeated or
-    numerically close singular values are grouped (relative gap 1e-8)
-    and the square root is taken blockwise on each group, where F^H G* is
-    unitary, with the principal branch.
+    numerically close singular values are grouped (relative gap 1e-8),
+    and on each group F^H G* is unitary and symmetric. A single value's
+    phase is halved; a larger group takes its root from one real
+    symmetric eigendecomposition. The group of zero singular values keeps
+    the SVD's basis (R = I there), which A does not see.
 
     Args:
         A: square complex symmetric matrix (symmetrized internally); a
@@ -111,9 +117,9 @@ def takagi(A: np.ndarray) -> TakagiFactors:
         raise NumericalError(f"SVD did not converge for shape {A.shape}: {exc}") from exc
     W = F.conj().T @ Gh.T
     n = A.shape[0]
-    root = np.zeros((n, n), dtype=complex)
+    root = np.eye(n, dtype=complex)
     for ix in _sigma_groups(sigma, 1e-8):
-        root[ix, ix] = _block_principal_sqrt(W[ix, ix])
+        root[ix, ix] = _group_root(W[ix, ix])
     Q = F @ root
     unit_res = np.linalg.norm(Q @ Q.conj().T - np.eye(n))
     if unit_res > 1e-8:

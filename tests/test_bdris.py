@@ -108,7 +108,7 @@ class TestScenario:
 
     def test_invalid_budget_rejected(self):
         for field, value in (("rho", 0.0), ("alpha_ris", -1.0), ("k_rician", -0.5),
-                             ("rho", math.nan), ("alpha_ris", math.nan),
+                             ("rho", math.nan), ("rho", math.inf), ("alpha_ris", math.nan),
                              ("alpha_direct", math.nan), ("k_rician", math.nan),
                              ("pl0_db", -3000.0), ("ris_pos", (50.0, 0.0, 1.5)),
                              ("tx_pos", (0.0, 1.5)), ("tx_pos", (1e200, 1e200, 1.5)),
@@ -267,10 +267,11 @@ class TestRate:
     def test_nonpositive_snr_rejected(self):
         rng = np.random.default_rng(6)
         ch = make_channels(rng, 2, 2, 4)
-        with pytest.raises(ValueError):
-            rate(ch, np.eye(4), rho=0.0)
-        with pytest.raises(ValueError):
-            euclid_grad(ch, np.eye(4), rho=0.0)
+        for rho in (0.0, -1.0, math.nan, math.inf):
+            with pytest.raises(ValueError, match="rho"):
+                rate(ch, np.eye(4), rho=rho)
+            with pytest.raises(ValueError, match="rho"):
+                euclid_grad(ch, np.eye(4), rho=rho)
 
     def test_invariant_under_factor_refresh(self):
         # the rate depends on the point's matrix only, not on which Takagi

@@ -8,12 +8,14 @@ the exponential) computed here, never from the code under test.
 import numpy as np
 import pytest
 
+import unisym.linalg
 from unisym.linalg import (
     NumericalError,
     eig_real_symmetric,
     expm_skew_hermitian,
     takagi,
 )
+from unisym.manifold import us_retract
 
 
 def crandn(rng, *shape):
@@ -120,6 +122,42 @@ class TestTakagi:
         np.testing.assert_allclose(sigma, [3.0, 0.0], atol=1e-14)
         np.testing.assert_allclose(Q @ np.diag(sigma) @ Q.T, A, atol=1e-12)
         assert np.linalg.norm(Q @ Q.conj().T - np.eye(2)) < 1e-10
+
+    def test_negative_identity_up_to_roundoff(self):
+        # O diag(-2, -2) O^T is -2I up to 1e-15; a principal square root of
+        # F^H G* meets eigenphases on both sides of its branch cut here
+        O = np.linalg.qr(np.random.default_rng(0).standard_normal((2, 2)))[0]
+        A = O @ np.diag([-2.0, -2.0]) @ O.T
+        rec, unit, sigma = takagi_residuals(A)
+        assert rec <= 1e-12
+        assert unit < 1e-10
+        np.testing.assert_allclose(sigma, [2.0, 2.0], rtol=1e-14)
+        np.testing.assert_allclose(us_retract(A).U, -np.eye(2), atol=1e-12)
+
+    def test_repeated_real_eigenvalues_fuzz(self):
+        # real O diag(lam) O^T with lam from {-2, 2, 0, 1}: groups of equal
+        # singular values whose F^H G* has eigenvalues -1 and +1, plus a zero group
+        rng = np.random.default_rng(0)
+        for _ in range(750):
+            n = int(rng.integers(2, 12))
+            O = np.linalg.qr(rng.standard_normal((n, n)))[0]
+            lam = rng.choice([-2.0, 2.0, 0.0, 1.0], size=n)
+            A = O @ np.diag(lam) @ O.T
+            rec, unit, _ = takagi_residuals(A)
+            assert rec <= 1e-9 * np.linalg.norm(A), lam
+            assert unit <= 1e-10, lam
+
+    def test_svd_failure_raises(self, monkeypatch):
+        def no_convergence(*args, **kwargs):
+            raise np.linalg.LinAlgError("SVD did not converge")
+        monkeypatch.setattr(np.linalg, "svd", no_convergence)
+        with pytest.raises(NumericalError, match="SVD did not converge"):
+            takagi(np.eye(3, dtype=complex))
+
+    def test_non_unitary_root_raises(self, monkeypatch):
+        monkeypatch.setattr(unisym.linalg, "_group_root", lambda W: 2.0 * np.eye(W.shape[0]))
+        with pytest.raises(NumericalError, match="lost unitarity"):
+            takagi(np.eye(3, dtype=complex))
 
     def test_asymmetric_rejected(self):
         A = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)

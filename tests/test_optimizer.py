@@ -260,13 +260,31 @@ class TestOptimizeUArmijo:
             optimize_u_armijo(ConstantObjective(), UPoint(U=2 * np.eye(2, dtype=complex)))
 
 
+def fresh_interpreter_lines(code):
+    """stdout lines of code run in a fresh interpreter (this test session
+    imports scipy), followed by the list of scipy modules it loaded."""
+    code += "\nimport sys; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    return subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          check=True, env={**os.environ, "PYTHONPATH": SRC}).stdout.splitlines()
+
+
 class TestImport:
     def test_import_leaves_scipy_optimize_unloaded(self):
-        # a fresh interpreter, since this test session imports scipy.optimize
-        code = "import sys, unisym; print('scipy.optimize' in sys.modules)"
-        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                             check=True, env={**os.environ, "PYTHONPATH": SRC})
-        assert out.stdout.strip() == "False"
+        # the library loads no part of scipy
+        assert fresh_interpreter_lines("import unisym") == ["[]"]
+
+    def test_runs_with_scipy_blocked(self, tmp_path):
+        # all three methods at 8x2, M=16: low_cost's 10x10 Takagi target has
+        # rank at most 4, so its zero group is reached too
+        code = ("import sys; sys.modules['scipy'] = None\n"
+                "from unisym.harness import build_run_spec, run_experiment\n"
+                "res = run_experiment(build_run_spec({'nr': 8, 'nt': 2, 'sweep': [16], "
+                f"'trials': 2, 'output_dir': {str(tmp_path)!r}}}))\n"
+                "print(sorted({r.method for r in res.rows if r.converged in ('true', 'false')}),"
+                " sum(r.converged == 'error' for r in res.rows))\n"
+                "del sys.modules['scipy']")
+        assert fresh_interpreter_lines(code) == ["['low_cost', 'mo_u_proj', 'mo_us'] 0", "[]"]
+        assert (tmp_path / "results.csv").is_file()
 
 
 class TestConfig:
