@@ -11,11 +11,11 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import NumericalError, takagi
+from .linalg import NumericalError, _check_count, takagi
 from .manifold import (
     GeodesicFrame,
     UPoint,
@@ -59,8 +59,8 @@ class Scenario:
     direct_blocked: bool = False
 
     def __post_init__(self):
-        if min(self.nt, self.nr, self.m) < 1:
-            raise ValueError("nt, nr and m must be >= 1")
+        for name in ("nt", "nr", "m"):
+            _check_count(getattr(self, name), name)
         _check_rho(self.rho)
         # negated comparisons, so that NaN fails too
         if not (self.alpha_ris > 0 and self.alpha_direct > 0):
@@ -86,9 +86,6 @@ class Scenario:
             if not 0.0 < gain <= 1.0:
                 raise ValueError(f"pl0_db, {alpha}, {a} and {b} give a link power gain "
                                  f"of {gain:.3g}, outside (0, 1]")
-
-    def with_elements(self, m: int) -> "Scenario":
-        return replace(self, m=m)
 
 
 @dataclass(frozen=True)
@@ -265,16 +262,6 @@ def _phase_step(C: np.ndarray, u: np.ndarray, wc: np.ndarray, base: np.ndarray,
     return -cmath.phase(alpha)
 
 
-def per_phase_opt(ch: ChannelSet, Fr: GeodesicFrame, theta: np.ndarray,
-                  m: int, rho: float) -> float:
-    """Closed-form argmax of the rate over frame phase m, others fixed.
-
-    Never returns a phase worse than theta[m]; flat axes (e.g. a column
-    annihilated by F) keep their current phase.
-    """
-    return RateObjective(ch, rho).phase_maximizer(Fr, theta, m)
-
-
 class RateObjective(Objective):
     """Achievable-rate objective over the surface response.
 
@@ -294,10 +281,14 @@ class RateObjective(Objective):
         return euclid_grad(self.channels, point, self.rho)
 
     def phase_maximizer(self, Fr: GeodesicFrame, theta: np.ndarray, m: int) -> float:
-        """The closed-form optimal phase of axis m, the others held at theta."""
+        """The closed-form optimal phase of axis m, the others held at theta.
+
+        Never returns a phase worse than theta[m]; flat axes (e.g. a column
+        annihilated by F) keep their current phase.
+        """
         if not 0 <= m < Fr.n:
             raise ValueError(f"phase index {m} out of range for n={Fr.n}")
-        return float(self._sweep(Fr, np.array(theta, dtype=float), (m,))[m])
+        return float(self._sweep(Fr, Fr.phases(theta, "theta"), (m,))[m])
 
     def sweep(self, Fr: GeodesicFrame, theta: np.ndarray) -> np.ndarray:
         return self._sweep(Fr, theta, range(Fr.n))

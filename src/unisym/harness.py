@@ -19,7 +19,7 @@ import re
 import statistics
 import sys
 import time
-from dataclasses import astuple, dataclass, field, fields
+from dataclasses import astuple, dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -35,7 +35,7 @@ from .bdris import (
     mo_u_proj_baseline,
     rate_bits,
 )
-from .linalg import NumericalError
+from .linalg import NumericalError, _check_count
 from .manifold import u_random, us_random
 from .optimizer import OptimizerConfig, optimize_us
 
@@ -60,12 +60,10 @@ class RunSpec:
     def __post_init__(self):
         if not self.sweep:
             raise ValueError("sweep must list at least one element count")
-        if any(m < 1 for m in self.sweep):
-            raise ValueError("sweep entries must be >= 1")
-        if self.trials < 1:
-            raise ValueError("trials must be >= 1")
-        if self.seed0 < 0:
-            raise ValueError("seed0 must be >= 0")
+        for i, M in enumerate(self.sweep):
+            _check_count(M, f"each of the sweep entries (sweep[{i}])")
+        _check_count(self.trials, "trials")
+        _check_count(self.seed0, "seed0", least=0)
         if not self.methods:
             raise ValueError("methods must be non-empty")
         bad = [m for m in self.methods if m not in METHODS]
@@ -234,7 +232,7 @@ def _run_trial(spec: RunSpec, method: str, M: int, trial: int):
     (result row, trace or None, error message or None). Only the method
     call is timed; an inapplicable method or a NumericalError, in the method
     or in valuing its surface, gives a row with nan rate and no trace."""
-    sc = spec.scenario.with_elements(M)
+    sc = replace(spec.scenario, m=M)
     seed = spec.seed0 + trial
     ch = gen_channels(sc, seed=seed)
     try:

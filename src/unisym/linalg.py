@@ -37,6 +37,13 @@ def _square(A: np.ndarray, name: str = "A") -> np.ndarray:
     return A
 
 
+def _check_count(value, name: str, least: int = 1) -> None:
+    """Raise ValueError naming name unless value is an int or a numpy
+    integer, not a bool, of at least least."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < least:
+        raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
+
+
 def eig_real_symmetric(R: np.ndarray) -> RealSymEig:
     """Eigendecomposition R = V diag(lam) V^T of a real symmetric matrix.
 

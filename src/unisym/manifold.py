@@ -19,7 +19,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .linalg import eig_real_symmetric, expm_skew_hermitian, takagi
+from .linalg import _check_count, eig_real_symmetric, expm_skew_hermitian, takagi
 
 # Residual level above which a factor is considered stale and the point is
 # refreshed to the nearest unitary matrix.
@@ -91,6 +91,15 @@ class GeodesicFrame:
     def n(self) -> int:
         return self.QR.shape[0]
 
+    def phases(self, theta, name: str = "phases") -> np.ndarray:
+        """theta as a float copy, if it is a real vector of length n;
+        otherwise ValueError naming name and the shape."""
+        theta = np.asarray(theta)
+        if np.iscomplexobj(theta) or theta.shape != (self.n,):
+            raise ValueError(f"{name} must be a real vector of shape ({self.n},), "
+                             f"got {theta.dtype} of shape {theta.shape}")
+        return theta.astype(float)
+
 
 @dataclass(frozen=True, eq=False)
 class UPoint:
@@ -129,15 +138,13 @@ def us_random(n: int, seed) -> UsPoint:
 
     Deterministic for a given seed.
     """
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
+    _check_count(n, "n")
     return UsPoint(Q=_haar_unitary(n, np.random.default_rng(seed)))
 
 
 def u_random(n: int, seed) -> UPoint:
     """Haar-random point of the plain unitary manifold. Deterministic per seed."""
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
+    _check_count(n, "n")
     return UPoint(U=_haar_unitary(n, np.random.default_rng(seed)))
 
 
@@ -173,10 +180,7 @@ def us_point_at(Fr: GeodesicFrame, phases: np.ndarray) -> UsPoint:
     U = QR diag(e^{j phi}) QR^T, with the cached factor updated
     multiplicatively as Q = QR diag(e^{j phi / 2}).
     """
-    phases = np.asarray(phases, dtype=float)
-    if phases.shape != (Fr.n,):
-        raise ValueError(f"phases have shape {phases.shape}, expected ({Fr.n},)")
-    return UsPoint(Q=Fr.QR * np.exp(0.5j * phases)[np.newaxis, :])
+    return UsPoint(Q=Fr.QR * np.exp(0.5j * Fr.phases(phases))[np.newaxis, :])
 
 
 def us_retract(A: np.ndarray) -> UsPoint:

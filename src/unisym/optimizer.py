@@ -18,6 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .linalg import _check_count
 from .manifold import (
     DRIFT_TOL,
     GeodesicFrame,
@@ -100,8 +101,7 @@ class OptimizerConfig:
     def __post_init__(self):
         if not self.epsilon > 0:    # NaN fails too
             raise ValueError("epsilon must be > 0")
-        if self.max_iters < 1:
-            raise ValueError("max_iters must be >= 1")
+        _check_count(self.max_iters, "max_iters")
 
 
 @dataclass
@@ -149,10 +149,7 @@ def phase_sweep(obj: Objective, Fr: GeodesicFrame, theta0: np.ndarray) -> np.nda
     from (and can keep) the current value, so the objective never
     decreases along the pass.
     """
-    theta = np.asarray(theta0, dtype=float).copy()
-    if theta.shape != (Fr.n,):
-        raise ValueError(f"theta0 has shape {theta.shape}, expected ({Fr.n},)")
-    return obj.sweep(Fr, theta)
+    return obj.sweep(Fr, Fr.phases(theta0, "theta0"))
 
 
 def _ascend(obj: Objective, P0, cfg: OptimizerConfig, step):

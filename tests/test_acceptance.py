@@ -16,7 +16,7 @@ import pytest
 import scipy.linalg
 from scipy.optimize import minimize_scalar
 
-from unisym.bdris import ChannelSet, Scenario, RateObjective, euclid_grad, gen_channels, per_phase_opt
+from unisym.bdris import ChannelSet, Scenario, RateObjective, euclid_grad, gen_channels
 from unisym.harness import bench, build_run_spec, run_experiment
 from unisym.manifold import (
     TangentDirection,
@@ -207,7 +207,7 @@ def test_criterion_4_per_phase_closed_form():
         Fr = us_geodesic_frame(P, D)
         theta = rng.uniform(-np.pi, np.pi, size=m_dim)
         m = i % m_dim
-        phi = per_phase_opt(ch, Fr, theta, m, rho)
+        phi = RateObjective(ch, rho).phase_maximizer(Fr, theta, m)
         t = theta.copy()
         t[m] = phi
         achieved = rate_at_phases(ch, Fr, t, rho)

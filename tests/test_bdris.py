@@ -28,7 +28,6 @@ from unisym.bdris import (
     low_cost_bdris,
     mo_u_proj_baseline,
     path_loss,
-    per_phase_opt,
     rate,
     rate_bits,
 )
@@ -105,6 +104,11 @@ class TestScenario:
             Scenario(m=0)
         with pytest.raises(ValueError):
             Scenario(nt=0)
+        with pytest.raises(ValueError, match="m must be an integer"):
+            Scenario(m=2.5)
+        with pytest.raises(ValueError, match="nr must be an integer"):
+            Scenario(nr=True)
+        assert Scenario(m=np.int64(8)).m == 8
 
     def test_invalid_budget_rejected(self):
         for field, value in (("rho", 0.0), ("alpha_ris", -1.0), ("k_rician", -0.5),
@@ -115,12 +119,6 @@ class TestScenario:
                              ("tx_pos", (math.inf, 0.0, 1.5))):
             with pytest.raises(ValueError):
                 Scenario(**{field: value})
-
-    def test_with_elements(self):
-        sc = Scenario()
-        sc2 = sc.with_elements(128)
-        assert sc2.m == 128 and sc.m == 64
-        assert sc2.nt == sc.nt and sc2.rho == sc.rho
 
     def test_link_distances_default_geometry(self):
         # hand-computed Euclidean distances for the default node placement
@@ -389,7 +387,7 @@ class TestPerPhaseOpt:
         ch = ChannelSet(Hd=crandn(rng, 2, 2), F=F, G=crandn(rng, 2, 3))
         Fr = GeodesicFrame(QR=np.eye(3, dtype=complex), theta=np.zeros(3))
         theta = np.array([0.7, -1.2, 2.0])
-        assert per_phase_opt(ch, Fr, theta, 0, rho=2.0) == 0.7
+        assert RateObjective(ch, 2.0).phase_maximizer(Fr, theta, 0) == 0.7
 
     def test_scalar_without_direct_link_is_flat(self):
         rng = np.random.default_rng(12)
@@ -398,13 +396,13 @@ class TestPerPhaseOpt:
         Fr = GeodesicFrame(QR=np.eye(1, dtype=complex), theta=np.zeros(1))
         vals = [rate_at_phases(ch, Fr, [p], 2.0) for p in (0.0, 1.0, -2.0)]
         assert max(vals) - min(vals) < 1e-12
-        assert per_phase_opt(ch, Fr, np.array([0.0]), 0, rho=2.0) == 0.0
+        assert RateObjective(ch, 2.0).phase_maximizer(Fr, np.array([0.0]), 0) == 0.0
 
     def test_scalar_with_real_positive_link_aligns_at_zero(self):
         ch = ChannelSet(Hd=np.array([[0.8 + 0j]]), F=np.array([[1.3 + 0j]]),
                         G=np.array([[0.6 + 0j]]))
         Fr = GeodesicFrame(QR=np.eye(1, dtype=complex), theta=np.zeros(1))
-        phi = per_phase_opt(ch, Fr, np.array([2.0]), 0, rho=2.0)
+        phi = RateObjective(ch, 2.0).phase_maximizer(Fr, np.array([2.0]), 0)
         assert phi == pytest.approx(0.0, abs=1e-12)
 
     def test_index_out_of_range_rejected(self):
@@ -412,7 +410,7 @@ class TestPerPhaseOpt:
         ch = make_channels(rng, 2, 2, 3)
         Fr = GeodesicFrame(QR=np.eye(3, dtype=complex), theta=np.zeros(3))
         with pytest.raises(ValueError):
-            per_phase_opt(ch, Fr, np.zeros(3), 3, rho=1.0)
+            RateObjective(ch, 1.0).phase_maximizer(Fr, np.zeros(3), 3)
 
     def test_matches_refined_grid_search(self):
         rng = np.random.default_rng(14)
@@ -421,7 +419,7 @@ class TestPerPhaseOpt:
         Fr = random_frame(rng, ch, rho, 8)
         theta = rng.uniform(-np.pi, np.pi, size=8)
         for m in range(8):
-            phi = per_phase_opt(ch, Fr, theta, m, rho)
+            phi = RateObjective(ch, rho).phase_maximizer(Fr, theta, m)
             coarse, _, f_best = grid_argmax(ch, Fr, theta, m, rho)
             t = theta.copy()
             t[m] = phi
@@ -439,7 +437,7 @@ class TestPerPhaseOpt:
             f0 = rate_at_phases(ch, Fr, theta, rho)
             for m in range(6):
                 t = theta.copy()
-                t[m] = per_phase_opt(ch, Fr, theta, m, rho)
+                t[m] = RateObjective(ch, rho).phase_maximizer(Fr, theta, m)
                 assert rate_at_phases(ch, Fr, t, rho) >= f0 - 1e-12
 
 
@@ -452,16 +450,6 @@ class TestRateObjective:
         assert obj.eval(P) == rate(ch, P, 3.0)
         np.testing.assert_array_equal(obj.euclid_grad(P), euclid_grad(ch, P, 3.0))
 
-    def test_phase_maximizer_matches_per_phase_opt(self):
-        rng = np.random.default_rng(17)
-        ch = make_channels(rng, 2, 2, 5)
-        obj = RateObjective(ch, rho=2.0)
-        Fr = random_frame(rng, ch, 2.0, 5)
-        theta = rng.uniform(-np.pi, np.pi, size=5)
-        for m in range(5):
-            assert obj.phase_maximizer(Fr, theta, m) == pytest.approx(
-                per_phase_opt(ch, Fr, theta, m, 2.0), abs=1e-13)
-
     def test_phase_index_out_of_range_rejected(self):
         rng = np.random.default_rng(17)
         ch = make_channels(rng, 2, 2, 5)
@@ -471,6 +459,16 @@ class TestRateObjective:
         for m in (-1, 5):
             with pytest.raises(ValueError, match="out of range"):
                 obj.phase_maximizer(Fr, theta, m)
+
+    def test_theta_of_another_length_rejected(self):
+        # a shorter theta would broadcast over every axis of the frame
+        rng = np.random.default_rng(17)
+        ch = make_channels(rng, 2, 2, 5)
+        obj = RateObjective(ch, rho=2.0)
+        Fr = random_frame(rng, ch, 2.0, 5)
+        for n in (1, 4):
+            with pytest.raises(ValueError, match=rf"theta must be .* \(5,\), .* shape \({n},\)"):
+                obj.phase_maximizer(Fr, np.zeros(n), 0)
 
     def test_sweep_updates_beat_per_coordinate_grid(self):
         # full ascent on an 8-element response: accepted iterates never lose
@@ -590,7 +588,7 @@ class TestSweepKernel:
         with pytest.raises(NumericalError, match="lost positivity"):
             RateObjective(ch, rho).sweep(Fr, theta0)
         with pytest.raises(NumericalError, match="lost positivity"):
-            per_phase_opt(ch, Fr, theta0, 0, rho)
+            RateObjective(ch, rho).phase_maximizer(Fr, theta0, 0)
 
 
 class TestLowCost:

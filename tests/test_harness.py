@@ -109,6 +109,14 @@ class TestConfig:
         with pytest.raises(ValueError):
             tiny_spec("o", seed0=-1)
 
+    def test_fractional_counts_rejected_before_any_output(self, tmp_path):
+        out = tmp_path / "r"
+        for over in ({"trials": 1.5}, {"sweep": (4.5,)}):
+            with pytest.raises(ValueError, match="must be an integer"):
+                run_experiment(RunSpec(output_dir=str(out), **over))
+        assert not out.exists()
+        assert RunSpec(sweep=(np.int64(4),)).sweep == (4,)
+
     def test_no_values_give_the_class_defaults(self):
         spec = build_run_spec({})
         assert spec.scenario == Scenario()

@@ -80,6 +80,9 @@ class TestUsRandom:
             us_random(0, seed=1)
         with pytest.raises(ValueError):
             u_random(0, seed=1)
+        for f in (us_random, u_random):
+            with pytest.raises(ValueError, match="n must be an integer"):
+                f(2.5, seed=1)
 
 
 class TestUsTangentProject:
@@ -215,6 +218,9 @@ class TestUsPointAt:
         Fr = us_geodesic_frame(P, TangentDirection(R=np.eye(4)))
         with pytest.raises(ValueError):
             us_point_at(Fr, np.zeros(3))
+        # a complex vector of the right length would lose its imaginary part
+        with pytest.raises(ValueError, match="real vector"):
+            us_point_at(Fr, np.full(4, 1j))
 
 
 class TestUsRetract:

@@ -5,6 +5,8 @@ in closed form (constant, 1-D circle, separable cosines, linear trace),
 so convergence targets need no numerical oracle.
 """
 
+import ast
+import importlib
 import os
 import subprocess
 import sys
@@ -287,6 +289,23 @@ class TestImport:
         assert (tmp_path / "results.csv").is_file()
 
 
+    def test_benchmark_traced_names_resolve(self):
+        # the benchmark traces these functions by name; its table is read
+        # from the file, not imported, so nothing under perfbench/ runs
+        src = (Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py").read_text()
+        node = next(n for n in ast.parse(src).body if isinstance(n, ast.Assign)
+                    and [t.id for t in n.targets if isinstance(t, ast.Name)] == ["TARGETS"])
+        targets = ast.literal_eval(node.value)
+        assert targets
+        for mod, quals in targets.items():
+            owner = importlib.import_module(f"unisym.{mod}")
+            for qual in quals:
+                obj = owner
+                for part in qual.split("."):
+                    obj = getattr(obj, part, None)
+                assert callable(obj), f"perfbench traces {mod}.{qual}, which unisym lacks"
+
+
 class TestConfig:
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -295,6 +314,9 @@ class TestConfig:
             OptimizerConfig(epsilon=float("nan"))
         with pytest.raises(ValueError):
             OptimizerConfig(max_iters=0)
+        for bad in (float("nan"), 2.5):
+            with pytest.raises(ValueError, match="max_iters must be an integer"):
+                OptimizerConfig(max_iters=bad)
 
     def test_trace_monotone_helper(self):
         tr = IterationTrace()
