@@ -228,9 +228,14 @@ def euclid_grad(ch: ChannelSet, Theta, rho: float) -> np.ndarray:
     carries the factor 2. E^-1 = L^-H L^-1 is applied by two solves with
     the Cholesky factor.
     """
+    return 2.0 * rho * (ch.F.conj().T @ _gram_solve(ch, Theta, rho) @ ch.G)
+
+
+def _gram_solve(ch: ChannelSet, Theta, rho: float) -> np.ndarray:
+    """X = E^-1 H_eq (nr x nt), the core of the gradient 2 rho F^H X G, by
+    two triangular solves with the Cholesky factor of E."""
     H, L = _gram_cholesky(ch, Theta, rho, "gradient")
-    X = np.linalg.solve(L.conj().T, np.linalg.solve(L, H))
-    return 2.0 * rho * (ch.F.conj().T @ X @ ch.G)
+    return np.linalg.solve(L.conj().T, np.linalg.solve(L, H))
 
 
 def _phase_step(C: np.ndarray, u: np.ndarray, wc: np.ndarray, base: np.ndarray,
@@ -279,6 +284,15 @@ class RateObjective(Objective):
 
     def euclid_grad(self, point) -> np.ndarray:
         return euclid_grad(self.channels, point, self.rho)
+
+    def grad_factors(self, point) -> tuple[np.ndarray, np.ndarray]:
+        """The gradient 2 rho F^H X G as A B^H, of width min(nr, nt): 2 rho X
+        joins F^H when nt <= nr and G^H otherwise."""
+        ch = self.channels
+        X = 2.0 * self.rho * _gram_solve(ch, point, self.rho)
+        if X.shape[1] <= X.shape[0]:
+            return ch.F.conj().T @ X, ch.G.conj().T
+        return ch.F.conj().T, ch.G.conj().T @ X.conj().T
 
     def phase_maximizer(self, Fr: GeodesicFrame, theta: np.ndarray, m: int) -> float:
         """The closed-form optimal phase of axis m, the others held at theta.

@@ -9,7 +9,8 @@ re-factorizing U each step, and refresh it to the nearest unitary matrix
 only when Q drifts from unitarity.
 
 The few operations on the plain unitary manifold needed by the projection
-baseline (tangent projection and geodesic steps on U(n)) live here too.
+baseline (tangent projection and geodesic steps on U(n)) live here too;
+its ascent steps along geodesics of a low-rank frame (u_geodesic_frame).
 """
 
 from __future__ import annotations
@@ -112,6 +113,24 @@ class UPoint:
         return _unitarity_residual(self.U)
 
 
+@dataclass(frozen=True, eq=False)
+class UGeodesicFrame:
+    """Frame for the geodesic t -> U exp(tS) on U(n) along a tangent U S
+    whose S lives in the span of k orthonormal columns Z.
+
+    With S = Z S_k Z^H and
+    -j S_k = W diag(d) W^H, the frame stores U, V = Z W, UV = U V and d;
+    the geodesic is U + UV diag(e^{j t d} - 1) V^H, reached through
+    u_point_at. norm is ||S||_F.
+    """
+
+    U: np.ndarray
+    UV: np.ndarray
+    V: np.ndarray
+    d: np.ndarray
+    norm: float
+
+
 def as_matrix(point) -> np.ndarray:
     """The ambient matrix of a UsPoint/UPoint, or a plain ndarray unchanged."""
     if isinstance(point, (UsPoint, UPoint)):
@@ -204,3 +223,32 @@ def u_tangent_project(P: UPoint, J: np.ndarray) -> np.ndarray:
 def u_geodesic(P: UPoint, S: np.ndarray, mu: float) -> UPoint:
     """Geodesic step U exp(mu S) on U(n) along skew-Hermitian S."""
     return UPoint(U=P.U @ expm_skew_hermitian(mu * np.asarray(S)))
+
+
+def u_geodesic_frame(P: UPoint, A: np.ndarray, B: np.ndarray) -> UGeodesicFrame:
+    """Frame of the geodesic from P along the tangent projection of J = A B^H.
+
+    The projection is U S with S = (U^H J - J^H U)/2 = (C B^H - B C^H)/2,
+    C = U^H A, so S lives in the range of [C, B], of dimension at most
+    twice the width of the factors. A thin QR [C, B] = Z [R1, R2] gives
+    S = Z S_k Z^H with S_k = (R1 R2^H - R2 R1^H)/2, whose one Hermitian
+    eigendecomposition serves every step length; since
+    exp(tS) = I + Z (exp(t S_k) - I) Z^H, a step costs O(n^2 k), not an
+    n x n exponential. Neither J nor S is formed.
+    """
+    A, B = np.asarray(A), np.asarray(B)
+    if A.ndim != 2 or A.shape != B.shape or A.shape[0] != P.U.shape[0]:
+        raise ValueError(f"gradient factors of shapes {A.shape} and {B.shape} "
+                         f"do not fit a point of U({P.U.shape[0]})")
+    r = A.shape[1]
+    Z, R = np.linalg.qr(np.hstack((P.U.conj().T @ A, B)))
+    X = R[:, :r] @ R[:, r:].conj().T
+    Sk = (X - X.conj().T) / 2.0
+    d, W = np.linalg.eigh(-1j * Sk)
+    V = Z @ W
+    return UGeodesicFrame(U=P.U, UV=P.U @ V, V=V, d=d, norm=float(np.linalg.norm(Sk)))
+
+
+def u_point_at(Fr: UGeodesicFrame, t: float) -> UPoint:
+    """The point U exp(tS) of the frame's geodesic at step length t."""
+    return UPoint(U=Fr.U + (Fr.UV * (np.exp(1j * t * Fr.d) - 1.0)) @ Fr.V.conj().T)

@@ -24,8 +24,8 @@ from .manifold import (
     GeodesicFrame,
     UPoint,
     UsPoint,
-    u_geodesic,
-    u_tangent_project,
+    u_geodesic_frame,
+    u_point_at,
     us_geodesic_frame,
     us_point_at,
     us_tangent_project,
@@ -42,7 +42,10 @@ class Objective:
     eval(point) returns the objective value in nats; euclid_grad(point)
     returns the ambient-space gradient J, consistent with eval under the
     real trace inner product (directional derivative along a tangent B is
-    Re tr(J^H B)).
+    Re tr(J^H B)). grad_factors(point) returns the same gradient as a pair
+    (A, B) of n x r matrices with J = A B^H; the default is (J, I), and an
+    objective whose gradient has low rank r returns thin factors, which
+    make each step of optimize_u_armijo cost O(n^2 r).
 
     sweep(Fr, theta) is one coordinate-ascent pass over all frame phases in
     ascending index order, each update holding the others at their
@@ -58,6 +61,10 @@ class Objective:
 
     def euclid_grad(self, point) -> np.ndarray:
         raise NotImplementedError
+
+    def grad_factors(self, point) -> tuple[np.ndarray, np.ndarray]:
+        J = self.euclid_grad(point)
+        return J, np.eye(J.shape[1])
 
     def sweep(self, Fr: GeodesicFrame, theta: np.ndarray) -> np.ndarray:
         for m in range(Fr.n):
@@ -245,13 +252,12 @@ def _armijo_step(obj: Objective, P: UPoint, F: float):
     A candidate that drifted off U(n) is refreshed and valued anew, and the
     move is refused if the refreshed value is below F."""
     t_start = time.perf_counter()
-    J = obj.euclid_grad(P)
-    S = u_tangent_project(P, J)
-    grad_norm = float(np.linalg.norm(S))
+    Fr = u_geodesic_frame(P, *obj.grad_factors(P))
+    grad_norm = Fr.norm
     slope = grad_norm ** 2  # <J, U S>_Re for the projected direction
     t = 1.0
     for _ in range(ARMIJO_MAX_BACKTRACKS + 1):
-        cand = u_geodesic(P, S, t)
+        cand = u_point_at(Fr, t)
         F_new = float(obj.eval(cand))
         if F_new >= F + ARMIJO_SUFFICIENT_INCREASE * t * slope:
             break

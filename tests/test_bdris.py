@@ -32,10 +32,13 @@ from unisym.bdris import (
     rate_bits,
 )
 from unisym.harness import METHODS
-from unisym.linalg import NumericalError
+from unisym.linalg import NumericalError, expm_skew_hermitian
 from unisym.manifold import (
     GeodesicFrame,
+    u_geodesic_frame,
+    u_point_at,
     u_random,
+    u_tangent_project,
     us_geodesic_frame,
     us_random,
     us_retract,
@@ -682,6 +685,50 @@ class TestMoUProjBaseline:
                                           OptimizerConfig(max_iters=20))
         assert P.max_residual() <= 1e-8
         assert trace.iterations >= 1
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 17, 64])
+    @pytest.mark.parametrize("nr,nt", [(1, 1), (4, 4), (8, 2), (2, 8)])
+    def test_low_rank_step_matches_the_dense_exponential(self, nr, nt, m):
+        # the Armijo step's frame, built from the gradient factors, against
+        # U exp(tS) with S the projection of the full gradient; on a desk
+        # channel and on one with F = 0, whose gradient is zero
+        sc = Scenario(nr=nr, nt=nt, m=m)
+        live = gen_channels(sc, seed=m)
+        tol = 1e-12 * math.sqrt(m)
+        for ch in (live, ChannelSet(Hd=live.Hd, F=np.zeros_like(live.F), G=live.G)):
+            obj = RateObjective(ch, sc.rho)
+            P = u_random(m, seed=nr + 10 * nt)
+            S = u_tangent_project(P, obj.euclid_grad(P))
+            Fr = u_geodesic_frame(P, *obj.grad_factors(P))
+            assert abs(Fr.norm - np.linalg.norm(S)) <= tol * max(1.0, np.linalg.norm(S))
+            for t in (1.0, 0.5, 2.0 ** -10):
+                dense = P.U @ expm_skew_hermitian(t * S)
+                assert np.linalg.norm(u_point_at(Fr, t).U - dense) <= tol, t
+
+    def test_armijo_step_sees_only_the_gradient_rank(self, monkeypatch):
+        # on a 4x4 link at M = 64 the tangent has rank at most
+        # 2 min(nr, nt) = 8: no m x m exponential, and no eigendecomposition
+        # larger than that
+        import unisym.linalg
+        import unisym.manifold
+        expm_calls, eigh_shapes = [], []
+
+        def recording_expm(S, real=unisym.linalg.expm_skew_hermitian):
+            expm_calls.append(np.shape(S))
+            return real(S)
+
+        def recording_eigh(a, *args, real=np.linalg.eigh, **kwargs):
+            eigh_shapes.append(np.shape(a))
+            return real(a, *args, **kwargs)
+
+        monkeypatch.setattr(unisym.linalg, "expm_skew_hermitian", recording_expm)
+        monkeypatch.setattr(unisym.manifold, "expm_skew_hermitian", recording_expm)
+        monkeypatch.setattr(np.linalg, "eigh", recording_eigh)
+        sc = Scenario(m=64)
+        _, trace = mo_u_proj_baseline(gen_channels(sc, seed=3), sc.rho, u_random(64, seed=3))
+        assert trace.iterations >= 2
+        assert not expm_calls
+        assert eigh_shapes and all(max(s) <= 8 for s in eigh_shapes)
 
 
 class TestStationarity:

@@ -15,6 +15,7 @@ from unisym.manifold import (
     UPoint,
     UsPoint,
     u_geodesic,
+    u_geodesic_frame,
     u_random,
     u_tangent_project,
     us_geodesic_frame,
@@ -115,6 +116,9 @@ class TestUsTangentProject:
             u_tangent_project(u_random(4, seed=4), np.zeros((3, 3)))
         with pytest.raises(ValueError, match="dimension"):
             us_geodesic_frame(P, TangentDirection(R=np.zeros((3, 3))))
+        for A, B in ((np.zeros((3, 2)), np.zeros((3, 2))), (np.zeros((4, 2)), np.eye(4))):
+            with pytest.raises(ValueError, match="gradient factors"):
+                u_geodesic_frame(u_random(4, seed=4), A, B)
 
     def test_embedded_vector_properties(self):
         # tangent characterization: U^H B + B^H U = 0 and B symmetric

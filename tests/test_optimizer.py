@@ -238,14 +238,14 @@ class TestOptimizeUArmijo:
             assert all(r.residual <= 1e-8 for r in tr.records)
 
     def test_drift_refresh_records_the_refreshed_value(self, monkeypatch):
-        # every geodesic step drifts by a relative 1e-7, far above DRIFT_TOL;
-        # the trace must hold the value of the refreshed point, never the
-        # value of the drifted candidate
+        # every candidate the line search forms drifts by a relative 1e-7,
+        # far above DRIFT_TOL; the trace must hold the value of the
+        # refreshed point, never the value of the drifted candidate
         import unisym.optimizer as opt
         from unisym.manifold import UPoint
-        exact = opt.u_geodesic
-        monkeypatch.setattr(opt, "u_geodesic",
-                            lambda P, S, mu: UPoint(U=exact(P, S, mu).U * (1 + 1e-7)))
+        exact = opt.u_point_at
+        monkeypatch.setattr(opt, "u_point_at",
+                            lambda Fr, t: UPoint(U=exact(Fr, t).U * (1 + 1e-7)))
         rng = np.random.default_rng(29)
         B = (rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))) / np.sqrt(2)
         obj = LinearTrace(B + B.T)

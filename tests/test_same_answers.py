@@ -1,5 +1,5 @@
 """tools/same_answers.py on a tiny spec: the working tree against itself
-is identical, and a changed rate is reported."""
+is identical, and a changed rate is reported, row by row and per cell."""
 
 import csv
 import importlib.util
@@ -32,5 +32,8 @@ def test_working_tree_against_itself_then_a_changed_rate(tmp_path):
     assert f"  rate differs: {method}/{M}/{trial}: |d| 1e-09" in lines
     assert f"  max |d rate_bits| {method}: 1e-09" in lines
     assert sum(line.startswith("  rate differs:") for line in lines) == 1
+    # the moved row's cell: its other trial is unchanged
+    assert f"  cell {method}/{M}: mean d rate_bits +5e-10, range +0 to +1e-09 over 2 trials" in lines
+    assert sum(line.startswith("  cell ") for line in lines) == 1
     assert lines[-1] == "5 of 6 files identical"
     assert lines[0].endswith("max |d rate_bits| 1e-09")

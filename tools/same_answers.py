@@ -9,8 +9,9 @@ copy of <git-ref>, once on the working tree's `src/`. Each output file is
 compared byte for byte once its `wall_ms` column is dropped. The report
 names, per spec, the files that differ, the largest |delta rate_bits|,
 each (method, M, trial) row whose rate_bits differ with its |delta|, the
-largest |delta| per method, the rows whose iteration counts differ and
-the error rows on either side.
+largest |delta| per method, for each (method, M) cell with a moved row
+the mean and the range of the per-trial differences (new minus base),
+the rows whose iteration counts differ and the error rows on either side.
 Exit status: 0 when every file is identical, 1 when any differs, 2 when
 the ref cannot be read or a side fails to run.
 """
@@ -124,14 +125,17 @@ def compare_outputs(base: Path, new: Path, names) -> tuple[bool, list[str]]:
         rows_a, rows_b = _results(base / name), _results(new / name)
         moved = []
         per_method = {}     # method -> max |d rate_bits| over its rows
+        cells = {}          # (method, M) -> new - base rate_bits per trial with a rate
         iters = []
         for key in [k for k in rows_a if k in rows_b]:
             ra, rb = rows_a[key], rows_b[key]
+            d = float(rb["rate_bits"]) - float(ra["rate_bits"])
+            if not math.isnan(d):
+                cells.setdefault(key[:2], []).append(d)
             if ra["rate_bits"] != rb["rate_bits"]:
-                d = abs(float(ra["rate_bits"]) - float(rb["rate_bits"]))
-                moved.append(f"{'/'.join(key)}: |d| {d:.3g}")
+                moved.append(f"{'/'.join(key)}: |d| {abs(d):.3g}")
                 if not math.isnan(d):
-                    per_method[key[0]] = max(per_method.get(key[0], 0.0), d)
+                    per_method[key[0]] = max(per_method.get(key[0], 0.0), abs(d))
             if ra["iterations"] != rb["iterations"]:
                 iters.append(f"{'/'.join(key)}: {ra['iterations']} -> {rb['iterations']}")
         lines.append(f"{name}: {len(files) - len(differ)} of {len(files)} files identical, "
@@ -139,6 +143,9 @@ def compare_outputs(base: Path, new: Path, names) -> tuple[bool, list[str]]:
         lines += [f"  differs: {f}" for f in differ]
         lines += [f"  rate differs: {s}" for s in moved]
         lines += [f"  max |d rate_bits| {m}: {d:.3g}" for m, d in per_method.items()]
+        lines += [f"  cell {m}/{M}: mean d rate_bits {sum(ds) / len(ds):+.3g}, "
+                  f"range {min(ds):+.3g} to {max(ds):+.3g} over {len(ds)} trials"
+                  for (m, M), ds in cells.items() if any(ds)]
         lines += [f"  iterations differ: {s}" for s in iters]
         for side, rows in (("base", rows_a), ("new", rows_b)):
             lines += [f"  error row ({side}): {'/'.join(k)}"
