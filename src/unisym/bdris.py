@@ -65,8 +65,8 @@ class Scenario:
         # negated comparisons, so that NaN fails too
         if not (self.alpha_ris > 0 and self.alpha_direct > 0):
             raise ValueError("alpha_ris and alpha_direct must be > 0")
-        if not self.k_rician >= 0:
-            raise ValueError("k_rician must be >= 0")
+        if not 0 <= self.k_rician < math.inf:
+            raise ValueError("k_rician must be finite and >= 0")
         for name in ("tx_pos", "rx_pos", "ris_pos"):
             p = getattr(self, name)
             if len(p) != 3:

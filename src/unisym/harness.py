@@ -62,6 +62,8 @@ class RunSpec:
             raise ValueError("sweep must list at least one element count")
         for i, M in enumerate(self.sweep):
             _check_count(M, f"each of the sweep entries (sweep[{i}])")
+        if len(set(self.sweep)) != len(self.sweep):
+            raise ValueError("sweep entries must not repeat")
         _check_count(self.trials, "trials")
         _check_count(self.seed0, "seed0", least=0)
         if not self.methods:
@@ -330,9 +332,11 @@ def bench(spec: RunSpec) -> tuple[list[BenchRow], Path]:
     """Time the iterative methods per element count and write bench.csv.
 
     For each (method, M), over at least 5 trials run sequentially: the
-    median per-iteration core time (gradient, tangent projection,
-    eigendecomposition-and-frame, point update), the median whole-iteration
-    wall time, and the summed trial time. A trial that fails (an error row
+    median per-iteration core time, the median whole-iteration wall time,
+    and the summed trial time. The core of mo_us is the gradient, tangent
+    projection, eigendecomposition-and-frame and point update, without the
+    sweeps; the core of mo_u_proj is its whole Armijo step (frame,
+    line-search evaluations, drift check). A trial that fails (an error row
     of _run_trial) is counted in `failed` and left out of the timings; a
     cell whose trials all failed has nan timings. Non-iterative methods
     have no per-iteration cost and are skipped.

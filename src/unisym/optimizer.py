@@ -117,7 +117,9 @@ class IterationRecord:
     value: float        # objective, nats
     grad_norm: float    # ||R||_F (or ||S||_F on U(n)); nan for the k=0 row
     wall_ms: float      # whole-iteration wall time
-    core_ms: float      # gradient + projection + eigendecomposition + update
+    # optimize_us: gradient + projection + eigendecomposition + update;
+    # optimize_u_armijo: the whole step (frame, line search, drift check)
+    core_ms: float
     residual: float     # manifold residual of the iterate
 
 
@@ -160,14 +162,14 @@ def phase_sweep(obj: Objective, Fr: GeodesicFrame, theta0: np.ndarray) -> np.nda
 
 
 def _ascend(obj: Objective, P0, cfg: OptimizerConfig, step):
-    """The ascent loop both optimizers share.
+    """The ascent loop both optimizers share; it alone decides on a move.
 
     step(obj, P, F) runs one iteration from the point P of value F and
-    returns (P_new, F_new, residual, grad_norm, core_s): a candidate on
-    the manifold with its value and residual, or P_new = None when it found
-    no acceptable move. A refused move repeats the current point in the
-    trace and ends the run with status "stalled"; otherwise the run stops
-    when |F_new - F| < epsilon or at max_iters.
+    returns (found, grad_norm, core_s). found is the candidate it proposes,
+    a (point, value, residual) triple from _settle, or None when it found
+    none. A missing candidate, or one valued below F, is refused: the trace
+    repeats the current point and the run ends "stalled". Otherwise the run
+    moves and stops when |F_new - F| < epsilon or at max_iters.
     """
     residual = P0.max_residual()
     if residual > DRIFT_TOL:
@@ -177,30 +179,34 @@ def _ascend(obj: Objective, P0, cfg: OptimizerConfig, step):
         k=0, value=F, grad_norm=math.nan, wall_ms=0.0, core_ms=0.0, residual=residual)])
     for k in range(1, cfg.max_iters + 1):
         t_start = time.perf_counter()
-        P_new, F_new, res, grad_norm, core_s = step(obj, P, F)
+        found, grad_norm, core_s = step(obj, P, F)
         wall_ms = (time.perf_counter() - t_start) * 1e3
-        if P_new is None:
-            # P is the point of the last record, so its residual is known
-            trace.records.append(IterationRecord(
-                k=k, value=F, grad_norm=grad_norm, wall_ms=wall_ms,
-                core_ms=core_s * 1e3, residual=trace.records[-1].residual))
-            trace.status = "stalled"
-            return P, trace
+        stalled = found is None or not found[1] >= F
+        # P is the point of the last record, so its residual is known
+        P_new, F_new, res = (P, F, trace.records[-1].residual) if stalled else found
         trace.records.append(IterationRecord(
             k=k, value=F_new, grad_norm=grad_norm, wall_ms=wall_ms,
             core_ms=core_s * 1e3, residual=res))
-        P, F_prev, F = P_new, F, F_new
-        if abs(F - F_prev) < cfg.epsilon:
-            trace.status = "converged"
-            return P, trace
+        if stalled or abs(F_new - F) < cfg.epsilon:
+            trace.status = "stalled" if stalled else "converged"
+            return P_new, trace
+        P, F = P_new, F_new
     trace.status = "max_iters"
     return P, trace
 
 
-def _polar(A: np.ndarray) -> np.ndarray:
-    """The unitary matrix nearest to A (Frobenius norm): u vh from its SVD."""
-    u, _, vh = np.linalg.svd(A)
-    return u @ vh
+def _settle(obj: Objective, cand, value: float | None = None):
+    """(cand, value, residual) for a candidate point, valued here unless its
+    value is given. A candidate that drifted beyond DRIFT_TOL is replaced by
+    the nearest point of its manifold, the polar factor u vh of its unitary
+    matrix's SVD, and valued again."""
+    res = cand.max_residual()
+    if res > DRIFT_TOL:
+        u, _, vh = np.linalg.svd(cand.Q if isinstance(cand, UsPoint) else cand.U)
+        cand = type(cand)(u @ vh)
+        res = cand.max_residual()
+        value = None
+    return cand, float(obj.eval(cand)) if value is None else value, res
 
 
 def _us_step(obj: Objective, P: UsPoint, F: float):
@@ -218,15 +224,10 @@ def _us_step(obj: Objective, P: UsPoint, F: float):
         t_update = time.perf_counter()
         cand = us_point_at(Fr, theta) if np.any(theta) else P
         core_s += time.perf_counter() - t_update
-        res = cand.max_residual()
-        if res > DRIFT_TOL:
-            cand = UsPoint(Q=_polar(cand.Q))
-            res = cand.max_residual()
-        F_new = float(obj.eval(cand))
-        if F_new >= F:
-            return cand, F_new, res, grad_norm, core_s
-    # roundoff-level regression from the current point: refuse the move
-    return None, math.nan, math.nan, grad_norm, core_s
+        found = _settle(obj, cand)
+        if found[1] >= F:
+            break
+    return found, grad_norm, core_s
 
 
 def optimize_us(obj: Objective, U0: UsPoint,
@@ -248,30 +249,19 @@ def optimize_us(obj: Objective, U0: UsPoint,
 
 
 def _armijo_step(obj: Objective, P: UPoint, F: float):
-    """One backtracking iteration of optimize_u_armijo; core_s is the whole step.
-    A candidate that drifted off U(n) is refreshed and valued anew, and the
-    move is refused if the refreshed value is below F."""
+    """One backtracking iteration of optimize_u_armijo; core_s is the whole
+    step: frame, line-search valuations and the drift check of _settle."""
     t_start = time.perf_counter()
     Fr = u_geodesic_frame(P, *obj.grad_factors(P))
-    grad_norm = Fr.norm
-    slope = grad_norm ** 2  # <J, U S>_Re for the projected direction
+    slope = Fr.norm ** 2  # <J, U S>_Re for the projected direction
     t = 1.0
     for _ in range(ARMIJO_MAX_BACKTRACKS + 1):
         cand = u_point_at(Fr, t)
         F_new = float(obj.eval(cand))
         if F_new >= F + ARMIJO_SUFFICIENT_INCREASE * t * slope:
-            break
+            return _settle(obj, cand, F_new), Fr.norm, time.perf_counter() - t_start
         t *= ARMIJO_CONTRACTION
-    else:
-        return None, math.nan, math.nan, grad_norm, time.perf_counter() - t_start
-    res = cand.max_residual()
-    if res > DRIFT_TOL:
-        cand = UPoint(U=_polar(cand.U))
-        res = cand.max_residual()
-        F_new = float(obj.eval(cand))
-    if not F_new >= F:    # only a refreshed candidate can fall below F
-        return None, math.nan, math.nan, grad_norm, time.perf_counter() - t_start
-    return cand, F_new, res, grad_norm, time.perf_counter() - t_start
+    return None, Fr.norm, time.perf_counter() - t_start
 
 
 def optimize_u_armijo(obj: Objective, U0: UPoint,

@@ -117,6 +117,7 @@ class TestScenario:
         for field, value in (("rho", 0.0), ("alpha_ris", -1.0), ("k_rician", -0.5),
                              ("rho", math.nan), ("rho", math.inf), ("alpha_ris", math.nan),
                              ("alpha_direct", math.nan), ("k_rician", math.nan),
+                             ("k_rician", math.inf),
                              ("pl0_db", -3000.0), ("ris_pos", (50.0, 0.0, 1.5)),
                              ("tx_pos", (0.0, 1.5)), ("tx_pos", (1e200, 1e200, 1.5)),
                              ("tx_pos", (math.inf, 0.0, 1.5))):

@@ -117,6 +117,17 @@ class TestConfig:
         assert not out.exists()
         assert RunSpec(sweep=(np.int64(4),)).sweep == (4,)
 
+    def test_repeated_sweep_entry_rejected_before_any_output(self, tmp_path):
+        # a repeated element count would run its cells twice, duplicate
+        # their rows and overwrite their trace files
+        out = tmp_path / "r"
+        for sweep in ((8, 8), (4, 8, np.int64(4))):
+            with pytest.raises(ValueError, match="sweep"):
+                run_experiment(RunSpec(output_dir=str(out), sweep=sweep, trials=1))
+        with pytest.raises(ValueError, match="sweep"):
+            tiny_spec(out, sweep=[8, 8])
+        assert not out.exists()
+
     def test_no_values_give_the_class_defaults(self):
         spec = build_run_spec({})
         assert spec.scenario == Scenario()

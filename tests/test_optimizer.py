@@ -10,6 +10,7 @@ import importlib
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -112,6 +113,21 @@ class Sinking(LinearTrace):
         return theta
 
 
+class SlowSweep(LinearTrace):
+    """A linear trace whose sweep keeps its phases after sleeping 20 ms."""
+
+    SLEEP_S = 0.02
+
+    def __init__(self, A):
+        super().__init__(A)
+        self.sweeps = 0
+
+    def sweep(self, Fr, theta):
+        self.sweeps += 1
+        time.sleep(self.SLEEP_S)
+        return theta
+
+
 def sym_matrix(seed, n=4):
     rng = np.random.default_rng(seed)
     B = (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))) / np.sqrt(2)
@@ -193,6 +209,19 @@ class TestOptimizeUs:
         assert tr.records[1].residual == tr.records[0].residual
         assert P is P0
 
+    def test_core_time_leaves_out_the_sweep(self):
+        # core_ms times the gradient, projection, frame and factor update;
+        # the sweeps run inside each iteration's wall time, outside its core
+        obj = SlowSweep(0.3 * sym_matrix(41))
+        _, tr = optimize_us(obj, us_random(4, seed=7),
+                            OptimizerConfig(epsilon=1e-9, max_iters=3))
+        assert tr.iterations == 3 and obj.sweeps >= 3
+        sleep_ms = obj.SLEEP_S * 1e3
+        for r in tr.records[1:]:
+            assert 0.0 < r.core_ms < sleep_ms
+            assert r.wall_ms >= r.core_ms + sleep_ms
+        assert sum(r.wall_ms for r in tr.records) >= obj.sweeps * sleep_ms
+
     def test_off_manifold_start_rejected(self):
         bad = UsPoint(Q=2 * np.eye(3, dtype=complex))
         with pytest.raises(ValueError, match="manifold"):
@@ -255,6 +284,18 @@ class TestOptimizeUArmijo:
         assert tr.final_value == obj.eval(P)
         assert tr.is_monotone()
         assert all(r.residual <= 1e-12 for r in tr.records)
+
+    def test_failed_line_search_stalls_at_the_start_point(self):
+        # every valuation is lower than the last, so no backtrack meets
+        # the sufficient-increase condition and the move is refused
+        obj = Sinking(sym_matrix(37))
+        P0 = u_random(4, seed=13)
+        P, tr = optimize_u_armijo(obj, P0)
+        assert tr.status == "stalled"
+        assert tr.iterations == 1
+        assert tr.values.tolist() == [-1.0, -1.0]
+        assert tr.records[1].residual == tr.records[0].residual
+        assert P is P0
 
     def test_non_unitary_start_rejected(self):
         from unisym.manifold import UPoint
