@@ -27,6 +27,8 @@ from .manifold import (
 from .optimizer import IterationTrace, Objective, OptimizerConfig, optimize_u_armijo
 
 LN2 = math.log(2.0)
+# |alpha| below which _phase_step calls an axis flat and keeps its phase
+FLAT_ALPHA = 1e-14
 
 
 class InapplicableMethodError(RuntimeError):
@@ -262,7 +264,7 @@ def _phase_step(C: np.ndarray, u: np.ndarray, wc: np.ndarray, base: np.ndarray,
         raise NumericalError(
             f"per-phase determinant term lost positivity: margin {margin:.3e} "
             f"(|alpha|={abs(alpha):.3e}, kappa={kappa:.3e})")
-    if abs(alpha) < 1e-14:
+    if abs(alpha) < FLAT_ALPHA:
         return phi
     return -cmath.phase(alpha)
 
@@ -308,24 +310,37 @@ class RateObjective(Objective):
         return self._sweep(Fr, theta, range(Fr.n))
 
     def _sweep(self, Fr: GeodesicFrame, theta: np.ndarray, axes) -> np.ndarray:
-        """The closed-form updates of the given axes in order, at O(nr^2 nt)
-        per phase: the channel H is built once and kept current by removing
-        and re-adding each axis's rank-one term u w^T, with one fresh
-        nr x nr solve per phase. Overwrites and returns theta."""
+        """The closed-form updates of the given axes in order: the channel H
+        is built once and kept current by removing and re-adding each
+        axis's rank-one term u w^T, with one nr x nr solve, O(nr^2 nt), per
+        axis that is not provably flat. Overwrites and returns theta.
+
+        Axis m keeps its phase unsolved when rho ||u_m|| ||w_m|| b <
+        FLAT_ALPHA / 2, with b = ||Hd||_F + sum_j ||u_j|| ||w_j||: b bounds
+        ||C||_2 at any phases and E >= I, so _phase_step's |alpha| <=
+        rho ||w|| ||C|| ||u|| is flat with room for roundoff, and its margin
+        check cannot fire. Generically at most 2 (nr + nt) axes are live.
+        """
         ch = self.channels
         Ut = (ch.F @ Fr.QR).T.copy()           # row m: u of axis m
         Wt = (ch.G.conj() @ Fr.QR).T.copy()    # row m: w of axis m
-        Wct = Wt.conj()
-        UW = Ut[:, :, None] * Wt[:, None, :]
-        # row m: I + rho ||w||^2 u u^H, the constant part of _phase_step's matrix
-        ww = np.einsum("ij,ij->i", Wct, Wt).real
-        base = np.eye(Ut.shape[1]) + (self.rho * ww)[:, None, None] * (
-            Ut[:, :, None] * Ut.conj()[:, None, :])
         H = ch.Hd + (Ut.T * np.exp(1j * theta)) @ Wt
-        for m in axes:
-            C = H - cmath.exp(1j * theta[m]) * UW[m]
-            theta[m] = _phase_step(C, Ut[m], Wct[m], base[m], self.rho, theta[m])
-            H = C + cmath.exp(1j * theta[m]) * UW[m]
+        ww = np.einsum("ij,ij->i", Wt.conj(), Wt).real
+        uw_norm = np.sqrt(np.einsum("ij,ij->i", Ut.conj(), Ut).real * ww)
+        bound = uw_norm * (self.rho * (np.linalg.norm(ch.Hd) + uw_norm.sum()))
+        flat = (bound < FLAT_ALPHA / 2).tolist()   # an overflowed or NaN bound is not flat
+        live = [m for m in axes if not flat[m]]
+        rows = np.array(live, dtype=np.intp)
+        U, W = Ut[rows], Wt[rows]
+        # per live axis: u w^T, and I + rho ||w||^2 u u^H, the constant part
+        # of _phase_step's matrix
+        UW = U[:, :, None] * W[:, None, :]
+        base = np.eye(Ut.shape[1]) + (self.rho * ww[rows])[:, None, None] * (
+            U[:, :, None] * U.conj()[:, None, :])
+        for m, uw, u, wc, b in zip(live, UW, U, W.conj(), base):
+            C = H - cmath.exp(1j * theta[m]) * uw
+            theta[m] = _phase_step(C, u, wc, b, self.rho, theta[m])
+            H = C + cmath.exp(1j * theta[m]) * uw
         return theta
 
 

@@ -6,6 +6,7 @@ differences through the retraction for the gradient, and grid search
 with bracketed refinement for the per-phase closed form.
 """
 
+import cmath
 import math
 import warnings
 from collections import Counter
@@ -16,6 +17,7 @@ from scipy.linalg import LinAlgError, cho_factor, cho_solve
 from scipy.optimize import minimize_scalar
 
 from unisym.bdris import (
+    FLAT_ALPHA,
     ChannelSet,
     InapplicableMethodError,
     RateObjective,
@@ -28,6 +30,7 @@ from unisym.bdris import (
     low_cost_bdris,
     mo_u_proj_baseline,
     path_loss,
+    _phase_step,
     rate,
     rate_bits,
 )
@@ -545,6 +548,55 @@ def seeded_sweep_case(nr, nt, M, rho_db, blocked, seed):
     return ch, sc.rho, Fr, np.mod(Fr.theta + np.pi, 2.0 * np.pi) - np.pi
 
 
+def every_axis_sweep(ch, Fr, theta, rho):
+    """Oracle: the incremental sweep with _phase_step solved on every axis,
+    flat or not, from the same per-axis terms as RateObjective.sweep."""
+    Ut = (ch.F @ Fr.QR).T.copy()
+    Wt = (ch.G.conj() @ Fr.QR).T.copy()
+    Wct = Wt.conj()
+    UW = Ut[:, :, None] * Wt[:, None, :]
+    ww = np.einsum("ij,ij->i", Wct, Wt).real
+    base = np.eye(Ut.shape[1]) + (rho * ww)[:, None, None] * (
+        Ut[:, :, None] * Ut.conj()[:, None, :])
+    theta = np.array(theta, dtype=float)
+    H = ch.Hd + (Ut.T * np.exp(1j * theta)) @ Wt
+    for m in range(Fr.n):
+        C = H - cmath.exp(1j * theta[m]) * UW[m]
+        theta[m] = _phase_step(C, Ut[m], Wct[m], base[m], rho, theta[m])
+        H = C + cmath.exp(1j * theta[m]) * UW[m]
+    return theta
+
+
+def fuzz_scenarios():
+    """TestFuzz's 120 (draw, Scenario) pairs."""
+    rng = np.random.default_rng(0)
+    for draw in range(120):
+        yield draw, Scenario(nr=int(rng.integers(1, 9)), nt=int(rng.integers(1, 9)),
+                             m=int(rng.choice([1, 2, 3, 17])),
+                             k_rician=float(rng.choice([0.0, 3.0, 1e6])),
+                             rho=10.0 ** (rng.uniform(0.0, 340.0) / 10.0),
+                             direct_blocked=bool(rng.integers(2)))
+
+
+def visited_axes(monkeypatch, theta):
+    """Wrap _phase_step so the returned list collects the index of each axis
+    it solves; the entries of theta must be distinct."""
+    import unisym.bdris
+    visited = []
+
+    def recording(C, u, wc, base, rho, phi):
+        visited.append(list(theta).index(phi))
+        return _phase_step(C, u, wc, base, rho, phi)
+
+    monkeypatch.setattr(unisym.bdris, "_phase_step", recording)
+    return visited
+
+
+def annihilating(A, Q):
+    """A with the orthonormal columns Q projected out of its row space."""
+    return A - (A @ Q) @ Q.conj().T
+
+
 class TestSweepKernel:
     def test_matches_cholesky_oracle(self):
         # the incremental kernel against one fresh Cholesky solve per phase
@@ -593,6 +645,91 @@ class TestSweepKernel:
             RateObjective(ch, rho).sweep(Fr, theta0)
         with pytest.raises(NumericalError, match="lost positivity"):
             RateObjective(ch, rho).phase_maximizer(Fr, theta0, 0)
+
+
+class TestFlatAxes:
+    def test_skipping_matches_every_axis_solved(self):
+        cases = [(4, 4, M, 130.0, blocked, 600 + M) for M in (16, 64, 128)
+                 for blocked in (False, True)]
+        cases += [(8, 2, M, 130.0, False, 700 + M) for M in (16, 32)]
+        for case in cases:
+            ch, rho, Fr, theta0 = seeded_sweep_case(*case)
+            np.testing.assert_array_equal(RateObjective(ch, rho).sweep(Fr, theta0.copy()),
+                                          every_axis_sweep(ch, Fr, theta0, rho), str(case))
+
+    def test_skipping_matches_every_axis_solved_on_fuzz_draws(self):
+        # TestFuzz's draws up to 340 dB: the same phases, or the same
+        # NumericalError from a margin check on a solved axis
+        outcomes = Counter()
+        for draw, sc in fuzz_scenarios():
+            ch = gen_channels(sc, seed=draw)
+            P = us_random(sc.m, seed=draw + 1)
+            try:
+                D = us_tangent_project(P, euclid_grad(ch, P, sc.rho))
+            except NumericalError:
+                continue    # no frame to sweep
+            Fr = us_geodesic_frame(P, D)
+            theta0 = np.mod(Fr.theta + np.pi, 2.0 * np.pi) - np.pi
+            try:
+                expected = every_axis_sweep(ch, Fr, theta0, sc.rho)
+            except NumericalError:
+                with pytest.raises(NumericalError, match="lost positivity"):
+                    RateObjective(ch, sc.rho).sweep(Fr, theta0.copy())
+                outcomes["raised"] += 1
+                continue
+            np.testing.assert_array_equal(RateObjective(ch, sc.rho).sweep(Fr, theta0.copy()),
+                                          expected, str(draw))
+            outcomes["equal"] += 1
+        assert outcomes["equal"] >= 80 and outcomes["raised"] >= 1, outcomes
+
+    def test_annihilated_axes_are_skipped(self, monkeypatch):
+        # F and G^* annihilate axes 1, 4 and 6 of a random frame, up to
+        # roundoff: those keep their phases unsolved
+        rng = np.random.default_rng(21)
+        M = 8
+        QR = us_random(M, seed=22).Q
+        F = annihilating(crandn(rng, 4, M), QR[:, [1, 4, 6]])
+        Gc = annihilating(crandn(rng, 4, M), QR[:, [1, 4, 6]])
+        ch = ChannelSet(Hd=crandn(rng, 4, 4), F=F, G=Gc.conj())
+        Fr = GeodesicFrame(QR=QR, theta=np.zeros(M))
+        theta0 = np.linspace(-3.0, 3.0, M)
+        visited = visited_axes(monkeypatch, theta0)
+        theta = RateObjective(ch, 2.0).sweep(Fr, theta0.copy())
+        assert visited == [0, 2, 3, 5, 7]
+        np.testing.assert_array_equal(theta[[1, 4, 6]], theta0[[1, 4, 6]])
+        assert np.all(theta[[0, 2, 3, 5, 7]] != theta0[[0, 2, 3, 5, 7]])
+        np.testing.assert_array_equal(theta, every_axis_sweep(ch, Fr, theta0, 2.0))
+
+    @pytest.mark.parametrize("ratio, solved", [(1.01, True), (0.99, False)])
+    def test_bound_at_half_flat_decides_the_solve(self, monkeypatch, ratio, solved):
+        # axis 0's bound rho ||u|| ||w|| (||Hd||_F + sum_j ||u_j|| ||w_j||)
+        # set to ratio * FLAT_ALPHA / 2 through the scale s of its u
+        rng = np.random.default_rng(23)
+        rho = 3.0
+        Hd, F, G = crandn(rng, 2, 2), crandn(rng, 2, 3), crandn(rng, 2, 3)
+        c0 = np.linalg.norm(F[:, 0]) * np.linalg.norm(G[:, 0])
+        rest = np.linalg.norm(Hd) + sum(np.linalg.norm(F[:, j]) * np.linalg.norm(G[:, j])
+                                        for j in (1, 2))
+        # rho s c0 (rest + s c0) = ratio FLAT_ALPHA / 2, solved for s
+        target = ratio * FLAT_ALPHA / 2.0
+        s = 2.0 * target / (rho * c0 * (rest + math.sqrt(rest**2 + 4.0 * target / rho)))
+        F[:, 0] *= s
+        ch = ChannelSet(Hd=Hd, F=F, G=G)
+        Fr = GeodesicFrame(QR=np.eye(3, dtype=complex), theta=np.zeros(3))
+        theta0 = np.array([0.5, -1.0, 2.0])
+        visited = visited_axes(monkeypatch, theta0)
+        theta = RateObjective(ch, rho).sweep(Fr, theta0.copy())
+        assert visited == ([0, 1, 2] if solved else [1, 2])
+        np.testing.assert_array_equal(theta, every_axis_sweep(ch, Fr, theta0, rho))
+
+    def test_a_4x4_sweep_solves_at_most_16_axes_at_any_size(self, monkeypatch):
+        counts = []
+        for M in (64, 128):
+            ch, rho, Fr, theta0 = seeded_sweep_case(4, 4, M, 130.0, False, 800)
+            visited = visited_axes(monkeypatch, theta0)
+            RateObjective(ch, rho).sweep(Fr, theta0.copy())
+            counts.append(len(visited))
+        assert counts[0] == counts[1] <= 2 * (4 + 4), counts
 
 
 class TestLowCost:
@@ -750,14 +887,8 @@ class TestFuzz:
     def test_every_draw_ends_in_a_named_outcome(self):
         # a finite rate with a monotone trace, an inapplicable method or a
         # NumericalError; anything else raised fails the test
-        rng = np.random.default_rng(0)
         outcomes = Counter()
-        for draw in range(120):
-            sc = Scenario(nr=int(rng.integers(1, 9)), nt=int(rng.integers(1, 9)),
-                          m=int(rng.choice([1, 2, 3, 17])),
-                          k_rician=float(rng.choice([0.0, 3.0, 1e6])),
-                          rho=10.0 ** (rng.uniform(0.0, 340.0) / 10.0),
-                          direct_blocked=bool(rng.integers(2)))
+        for draw, sc in fuzz_scenarios():
             ch = gen_channels(sc, seed=draw)
             for method, run in METHODS.items():
                 try:
