@@ -74,8 +74,9 @@ class Scenario:
             if len(p) != 3:
                 raise ValueError(f"{name} must have 3 coordinates")
         # each link joins distinct positions and, being passive, has a power
-        # gain of at most 1, so its channels are finite and their products
-        # too; a gain that underflows to 0 would silence the link
+        # gain of at most 1, so its channels are finite; a gain that
+        # underflows to 0 would silence the link. rho times their Gram
+        # matrix can still overflow, which _gram_cholesky reports
         for a, b, alpha in (("tx_pos", "ris_pos", "alpha_ris"), ("ris_pos", "rx_pos", "alpha_ris"),
                             ("tx_pos", "rx_pos", "alpha_direct")):
             d = math.dist(getattr(self, a), getattr(self, b))
@@ -199,11 +200,18 @@ def _gram_cholesky(ch: ChannelSet, Theta, rho: float, what: str) -> tuple[np.nda
     """H_eq at Theta and the lower Cholesky factor L of E = I + rho H_eq H_eq^H.
 
     what names the caller's quantity in the NumericalError raised when E
-    loses positive definiteness in floating point.
+    would overflow or loses positive definiteness in floating point. Since
+    |(H H^H)_ij| <= max_i (H H^H)_ii, a finite 2 rho max_i (H H^H)_ii keeps
+    every entry of E and of E + E^H finite.
     """
     _check_rho(rho)
     H = h_eq(ch, Theta)
-    E = np.eye(H.shape[0]) + rho * (H @ H.conj().T)
+    HH = H @ H.conj().T
+    peak = max(HH.diagonal().real.tolist())
+    if not 2.0 * rho * peak < math.inf:     # negated, so that NaN fails too
+        raise NumericalError(f"{what} argument overflowed: rho = {rho:.3g} times "
+                             f"max diag(H H^H) = {peak:.3g} leaves the float range")
+    E = np.eye(H.shape[0]) + rho * HH
     try:
         L = np.linalg.cholesky((E + E.conj().T) / 2.0)
     except np.linalg.LinAlgError as exc:

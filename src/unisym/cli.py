@@ -39,23 +39,19 @@ def main(argv=None) -> int:
         spec = load_run_spec(args.spec_file, overrides)
         if args.command == "run":
             result = run_experiment(spec)
-            for method in spec.methods:
-                for M in spec.sweep:
-                    cell = result.summary[method][str(M)]
+            for method, cells in result.summary.items():
+                for M, cell in cells.items():
                     if cell is None:
-                        print(f"{method:10s} M={M:<4d} no result")
+                        print(f"{method:10s} M={M:<4} no result")
                     else:
-                        print(f"{method:10s} M={M:<4d} "
+                        print(f"{method:10s} M={M:<4} "
                               f"mean {cell['mean_rate_bits']:.3f} bits "
                               f"(std {cell['std_rate_bits']:.3f}, "
                               f"iters {cell['mean_iters']:.1f})")
             print(f"results: {result.results_csv}")
             print(f"summary: {result.summary_json}")
             failed = sum(r.converged == "error" for r in result.rows)
-            if failed:
-                print(f"error: {failed} trial(s) failed with a numerical error; "
-                      f"see {result.output_dir / 'errors.csv'}", file=sys.stderr)
-                return 1
+            where = result.output_dir / "errors.csv"
         else:
             rows, path = bench(spec)
             for r in rows:
@@ -65,10 +61,11 @@ def main(argv=None) -> int:
                       f"(total {r.total_ms:.0f} ms)")
             print(f"bench: {path}")
             failed = sum(r.failed for r in rows)
-            if failed:
-                print(f"error: {failed} trial(s) failed with a numerical error; "
-                      f"see the failed column of {path}", file=sys.stderr)
-                return 1
+            where = f"the failed column of {path}"
+        if failed:
+            print(f"error: {failed} trial(s) failed with a numerical error; see {where}",
+                  file=sys.stderr)
+            return 1
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -251,28 +251,28 @@ def _run_trial(spec: RunSpec, method: str, M: int, trial: int):
     return ResultRow(method, M, trial, seed, rb, iters, wall, ok), trace, None
 
 
-def _summarize(rows: list[ResultRow], methods, sweep) -> dict:
-    """Per method, per element count: mean/std rate in bits and mean
-    iteration count over rows with a result; null when there are none."""
-    out: dict = {}
+def _cells(spec: RunSpec, methods, trials: int):
+    """The grid's one walk: (method, M, outcomes) per cell in (method,
+    element count) order, where outcomes lists _run_trial's (row, trace,
+    error) for trials 0 .. trials - 1."""
     for method in methods:
-        per_m: dict = {}
-        for M in sweep:
-            got = [r for r in rows
-                   if r.method == method and r.M == M
-                   and r.converged not in ("inapplicable", "error")]
-            if not got:
-                per_m[str(M)] = None
-                continue
-            rates = np.array([r.rate_bits for r in got])
-            iters = np.array([r.iterations for r in got], dtype=float)
-            per_m[str(M)] = {
-                "mean_rate_bits": float(np.mean(rates)),
-                "std_rate_bits": float(np.std(rates)),
-                "mean_iters": float(np.mean(iters)),
-            }
-        out[method] = per_m
-    return out
+        for M in spec.sweep:
+            yield method, M, [_run_trial(spec, method, M, t) for t in range(trials)]
+
+
+def _cell_summary(rows: list[ResultRow]) -> dict | None:
+    """Mean/std rate in bits and mean iteration count over one cell's rows
+    with a result; None when there are none."""
+    got = [r for r in rows if r.converged not in ("inapplicable", "error")]
+    if not got:
+        return None
+    rates = np.array([r.rate_bits for r in got])
+    iters = np.array([r.iterations for r in got], dtype=float)
+    return {
+        "mean_rate_bits": float(np.mean(rates)),
+        "std_rate_bits": float(np.std(rates)),
+        "mean_iters": float(np.mean(iters)),
+    }
 
 
 def run_experiment(spec: RunSpec) -> ExperimentResult:
@@ -283,27 +283,28 @@ def run_experiment(spec: RunSpec) -> ExperimentResult:
     Rows are produced in (method, element count, trial) order and the
     whole run is deterministic apart from the timing columns. A trial
     that raises NumericalError becomes an error row and a line of
-    errors.csv; the run goes on.
+    errors.csv; the run goes on. A run without one removes errors.csv.
     """
     out_dir = Path(spec.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     rows: list[ResultRow] = []
     errors: list[tuple] = []
-    for method in spec.methods:
-        for M in spec.sweep:
-            for trial in range(spec.trials):
-                row, trace, error = _run_trial(spec, method, M, trial)
-                rows.append(row)
-                if error is not None:
-                    errors.append((method, M, trial, row.seed, error))
-                if trace is not None:
-                    _write_csv(out_dir / f"trace_{method}_{M}_{trial}.csv", TRACE_HEADER,
-                               [(r.k, r.value / LN2, r.wall_ms) for r in trace.records])
+    summary: dict = {}
+    for method, M, outcomes in _cells(spec, spec.methods, spec.trials):
+        for row, trace, error in outcomes:
+            rows.append(row)
+            if error is not None:
+                errors.append((method, M, row.trial, row.seed, error))
+            if trace is not None:
+                _write_csv(out_dir / f"trace_{method}_{M}_{row.trial}.csv", TRACE_HEADER,
+                           [(r.k, r.value / LN2, r.wall_ms) for r in trace.records])
+        summary.setdefault(method, {})[str(M)] = _cell_summary([row for row, _, _ in outcomes])
     results_csv = out_dir / "results.csv"
     _write_csv(results_csv, RESULTS_HEADER, [astuple(r) for r in rows])
+    # an earlier run's errors.csv would misreport this one
+    (out_dir / "errors.csv").unlink(missing_ok=True)
     if errors:
         _write_csv(out_dir / "errors.csv", ERRORS_HEADER, errors)
-    summary = _summarize(rows, spec.methods, spec.sweep)
     summary_json = out_dir / "summary.json"
     summary_json.write_text(json.dumps(summary, indent=2, sort_keys=True) + "\n",
                             encoding="utf-8")
@@ -344,25 +345,15 @@ def bench(spec: RunSpec) -> tuple[list[BenchRow], Path]:
     out_dir = Path(spec.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     rows: list[BenchRow] = []
-    for method in spec.methods:
-        if method not in ITERATIVE_METHODS:
-            continue
-        for M in spec.sweep:
-            records: list = []
-            total = 0.0
-            failed = 0
-            for trial in range(max(5, spec.trials)):
-                row, trace, error = _run_trial(spec, method, M, trial)
-                if error is not None:
-                    failed += 1
-                    continue
-                total += row.wall_ms
-                records.extend(r for r in trace.records if r.k >= 1)
-            rows.append(BenchRow(method=method, M=M,
-                                 median_iter_ms=_median([r.core_ms for r in records]),
-                                 median_wall_ms=_median([r.wall_ms for r in records]),
-                                 total_ms=total if records else math.nan,
-                                 failed=failed))
+    iterative = [m for m in spec.methods if m in ITERATIVE_METHODS]
+    for method, M, outcomes in _cells(spec, iterative, max(5, spec.trials)):
+        done = [(row, trace) for row, trace, error in outcomes if error is None]
+        records = [r for _, trace in done for r in trace.records if r.k >= 1]
+        rows.append(BenchRow(method=method, M=M,
+                             median_iter_ms=_median([r.core_ms for r in records]),
+                             median_wall_ms=_median([r.wall_ms for r in records]),
+                             total_ms=sum(row.wall_ms for row, _ in done) if records else math.nan,
+                             failed=len(outcomes) - len(done)))
     bench_csv = out_dir / "bench.csv"
     _write_csv(bench_csv, BENCH_HEADER, [astuple(r) for r in rows])
     return rows, bench_csv

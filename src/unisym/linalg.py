@@ -3,8 +3,8 @@
 All routines are pure functions of their ndarray inputs and fix their
 choices (eigenphase halving, eigenvector bases from one `eigh`) so
 downstream code gets deterministic factors. Contracts are residual
-bounds, checked by the callers' tests rather than re-verified on every
-call.
+bounds, checked by the callers' tests; only `takagi` re-verifies its
+own, the unitarity of its factor, on every call.
 """
 
 from __future__ import annotations

@@ -340,6 +340,18 @@ class TestEuclidGrad:
         with pytest.raises(NumericalError, match="positive definiteness"):
             euclid_grad(ch, us_random(16, seed=1), 1e30)
 
+    def test_overflowed_gram_matrix_is_a_numerical_error(self):
+        # at rho = 1e308 on a 1 m link without path loss, rho H H^H
+        # overflows; each Gram user must name it, with no RuntimeWarning
+        sc = Scenario(m=64, rho=1e308, pl0_db=0.0, tx_pos=(0.0, 0.0, 0.0),
+                      ris_pos=(1.0, 0.0, 0.0), rx_pos=(1.0, 1.0, 0.0))
+        ch = gen_channels(sc, seed=0)
+        P = us_random(64, seed=1)
+        for call in (lambda: rate(ch, P, sc.rho), lambda: euclid_grad(ch, P, sc.rho),
+                     lambda: RateObjective(ch, sc.rho).grad_factors(P)):
+            with pytest.raises(NumericalError, match="argument overflowed"):
+                call()
+
     def test_twenty_directions_at_reference_size(self):
         rng = np.random.default_rng(10)
         ch = make_channels(rng, 4, 4, 8)

@@ -17,6 +17,7 @@ from unisym.harness import (
     BENCH_HEADER,
     CONFIG_DEFAULTS,
     ERRORS_HEADER,
+    METHODS,
     RESULTS_HEADER,
     TRACE_HEADER,
     RunSpec,
@@ -31,6 +32,11 @@ from unisym.optimizer import OptimizerConfig
 def read_csv(path):
     with open(path, newline="") as fh:
         return list(csv.reader(fh))
+
+
+# rho H H^H overflows: 3080 dB on 1 m links without path loss
+EXTREME_SNR = {"rho_db": 3080.0, "pl0_db": 0.0, "tx_pos": [0.0, 0.0, 0.0],
+               "ris_pos": [1.0, 0.0, 0.0], "rx_pos": [1.0, 1.0, 0.0], "sweep": [64]}
 
 
 def tiny_spec(out_dir, **over):
@@ -262,6 +268,25 @@ class TestRunExperiment:
         assert errors[1][:4] == ["mo_us", "4", "0", "7"]
         assert "per-phase determinant term lost positivity" in errors[1][4]
 
+    def test_overflow_at_extreme_snr_becomes_error_row(self, tmp_path):
+        spec = build_run_spec({**EXTREME_SNR, "trials": 1, "output_dir": str(tmp_path / "r")})
+        result = run_experiment(spec)
+        assert [(r.method, r.converged) for r in result.rows] == \
+            [(m, "error") for m in spec.methods]
+        assert all(math.isnan(r.rate_bits) for r in result.rows)
+        assert all(result.summary[m]["64"] is None for m in spec.methods)
+        errors = read_csv(result.output_dir / "errors.csv")
+        assert [r[0] for r in errors[1:]] == list(spec.methods)
+        assert all("argument overflowed" in r[4] for r in errors[1:])
+
+    def test_clean_rerun_removes_stale_errors_file(self, tmp_path):
+        failing = tiny_spec(tmp_path / "r", nr=8, nt=2, rho_db=300.0, sweep=[16], trials=1)
+        assert run_experiment(failing).rows[0].converged == "error"
+        assert (tmp_path / "r" / "errors.csv").exists()
+        result = run_experiment(tiny_spec(tmp_path / "r", trials=1))
+        assert not any(r.converged == "error" for r in result.rows)
+        assert not (tmp_path / "r" / "errors.csv").exists()
+
     def test_blocked_run_keeps_iterative_methods(self, tmp_path):
         spec = tiny_spec(tmp_path / "r", sweep=[4], trials=1, direct_blocked=True)
         result = run_experiment(spec)
@@ -351,6 +376,20 @@ class TestCli:
         assert main(["run", str(cfg)]) == 1
         assert "2 trial(s) failed" in capsys.readouterr().err
         assert (tmp_path / "out" / "results.csv").exists()
+        assert (tmp_path / "out" / "errors.csv").exists()
+
+    def test_bench_without_iterative_methods_exits_zero(self, tmp_path, capsys):
+        # an empty method list for the grid walk: a header-only bench.csv
+        cfg = self.write_cfg(tmp_path, methods=["low_cost"])
+        assert main(["bench", str(cfg)]) == 0
+        assert capsys.readouterr().err == ""
+        assert read_csv(tmp_path / "out" / "bench.csv") == [BENCH_HEADER]
+
+    def test_overflow_at_extreme_snr_exits_one(self, tmp_path, capsys):
+        cfg = self.write_cfg(tmp_path, **EXTREME_SNR, methods=list(METHODS))
+        assert main(["run", str(cfg)]) == 1
+        assert "3 trial(s) failed" in capsys.readouterr().err
+        assert "inf" not in (tmp_path / "out" / "results.csv").read_text()
         assert (tmp_path / "out" / "errors.csv").exists()
 
     def test_bad_config_exits_nonzero(self, tmp_path, capsys):
