@@ -328,6 +328,7 @@ class RateObjective(Objective):
         ||C||_2 at any phases and E >= I, so _phase_step's |alpha| <=
         rho ||w|| ||C|| ||u|| is flat with room for roundoff, and its margin
         check cannot fire. Generically at most 2 (nr + nt) axes are live.
+        A 2 rho b^2 past the float range raises NumericalError up front.
         """
         ch = self.channels
         Ut = (ch.F @ Fr.QR).T.copy()           # row m: u of axis m
@@ -335,7 +336,11 @@ class RateObjective(Objective):
         H = ch.Hd + (Ut.T * np.exp(1j * theta)) @ Wt
         ww = np.einsum("ij,ij->i", Wt.conj(), Wt).real
         uw_norm = np.sqrt(np.einsum("ij,ij->i", Ut.conj(), Ut).real * ww)
-        bound = uw_norm * (self.rho * (np.linalg.norm(ch.Hd) + uw_norm.sum()))
+        b = float(np.linalg.norm(ch.Hd)) + float(uw_norm.sum())
+        if not 2.0 * self.rho * b * b < math.inf:     # negated, so that NaN fails too
+            raise NumericalError(f"phase sweep overflowed: rho = {self.rho:.3g} times "
+                                 f"b^2 = {b * b:.3g} leaves the float range")
+        bound = uw_norm * (self.rho * b)
         flat = (bound < FLAT_ALPHA / 2).tolist()   # an overflowed or NaN bound is not flat
         live = [m for m in axes if not flat[m]]
         rows = np.array(live, dtype=np.intp)

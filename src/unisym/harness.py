@@ -283,12 +283,14 @@ def run_experiment(spec: RunSpec) -> ExperimentResult:
     Rows are produced in (method, element count, trial) order and the
     whole run is deterministic apart from the timing columns. A trial
     that raises NumericalError becomes an error row and a line of
-    errors.csv; the run goes on. A run without one removes errors.csv.
+    errors.csv; the run goes on. A run without one removes errors.csv, and
+    every run removes the trace_*.csv files it did not write.
     """
     out_dir = Path(spec.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     rows: list[ResultRow] = []
     errors: list[tuple] = []
+    traces: set[Path] = set()
     summary: dict = {}
     for method, M, outcomes in _cells(spec, spec.methods, spec.trials):
         for row, trace, error in outcomes:
@@ -296,12 +298,16 @@ def run_experiment(spec: RunSpec) -> ExperimentResult:
             if error is not None:
                 errors.append((method, M, row.trial, row.seed, error))
             if trace is not None:
-                _write_csv(out_dir / f"trace_{method}_{M}_{row.trial}.csv", TRACE_HEADER,
+                path = out_dir / f"trace_{method}_{M}_{row.trial}.csv"
+                _write_csv(path, TRACE_HEADER,
                            [(r.k, r.value / LN2, r.wall_ms) for r in trace.records])
+                traces.add(path)
         summary.setdefault(method, {})[str(M)] = _cell_summary([row for row, _, _ in outcomes])
     results_csv = out_dir / "results.csv"
     _write_csv(results_csv, RESULTS_HEADER, [astuple(r) for r in rows])
-    # an earlier run's errors.csv would misreport this one
+    # an earlier run's errors.csv or trace files would misreport this one
+    for path in set(out_dir.glob("trace_*.csv")) - traces:
+        path.unlink()
     (out_dir / "errors.csv").unlink(missing_ok=True)
     if errors:
         _write_csv(out_dir / "errors.csv", ERRORS_HEADER, errors)

@@ -1,10 +1,11 @@
 """Dense complex linear-algebra kernels used by the geometry layer.
 
 All routines are pure functions of their ndarray inputs and fix their
-choices (eigenphase halving, eigenvector bases from one `eigh`) so
-downstream code gets deterministic factors. Contracts are residual
-bounds, checked by the callers' tests; only `takagi` re-verifies its
-own, the unitarity of its factor, on every call.
+choices (eigenvector bases from one `eigh`, column signs) so downstream
+code gets deterministic factors; `takagi` too is one `eigh`, of a real
+form, with no SVD. Contracts are residual bounds, checked by the
+callers' tests; only `takagi` re-verifies its own, the unitarity of its
+factor, on every call.
 """
 
 from __future__ import annotations
@@ -61,49 +62,26 @@ def eig_real_symmetric(R: np.ndarray) -> RealSymEig:
     return RealSymEig(V=V[:, ::-1].copy(), lam=w[::-1].copy())
 
 
-def _group_root(W: np.ndarray) -> np.ndarray:
-    """A unitary R with R R^T = W, for a unitary symmetric W.
-
-    A 1 x 1 W keeps the principal branch: its phase is halved into
-    (-pi/2, pi/2]. Otherwise R = X + jY, where (X; Y) is an orthonormal
-    basis of the eigenvalue +1 eigenspace of the real symmetric involution
-    [[Re W, Im W], [Im W, -Re W]], the real form of z -> W z*. Its
-    eigenvalues are exactly +1 and -1, and multiplication by j swaps the
-    two eigenspaces, so R is unitary and W conj(R) = R, i.e. W = R R^T.
-    """
-    k = W.shape[0]
-    if k == 1:
-        return np.array([[np.exp(0.5j * np.angle(W[0, 0]))]])
-    M = np.block([[W.real, W.imag], [W.imag, -W.real]])
-    _, V = np.linalg.eigh((M + M.T) / 2.0)
-    return V[:k, k:] + 1j * V[k:, k:]
-
-
-def _sigma_groups(sigma: np.ndarray, rel_gap: float) -> list[slice]:
-    """Slices of consecutive singular values closer than rel_gap * sigma_max,
-    less the group whose largest value is within that of zero."""
-    tol = rel_gap * (sigma[0] if sigma.size and sigma[0] > 0 else 1.0)
-    groups = []
-    start = 0
-    for i in range(1, sigma.size + 1):
-        if i == sigma.size or sigma[i - 1] - sigma[i] > tol:
-            if sigma[start] > tol:
-                groups.append(slice(start, i))
-            start = i
-    return groups
-
-
 def takagi(A: np.ndarray) -> TakagiFactors:
     """Takagi factorization A = Q diag(sigma) Q^T of a complex symmetric matrix.
 
-    Built from the SVD A = F diag(sigma) G^H as Q = F R, where R is block
-    diagonal with R R^T = F^H G* on each group of equal singular values.
-    F^H G* is diagonal when the singular values are distinct; repeated or
-    numerically close singular values are grouped (relative gap 1e-8),
-    and on each group F^H G* is unitary and symmetric. A single value's
-    phase is halved; a larger group takes its root from one real
-    symmetric eigendecomposition. The group of zero singular values keeps
-    the SVD's basis (R = I there), which A does not see.
+    A column q = x + jy with A conj(q) = sigma q is an eigenvector (x; y)
+    of the real symmetric M = [[Re A, Im A], [Im A, -Re A]], whose
+    eigenvalues are +-sigma_i, and j maps each sigma eigenspace onto the
+    -sigma one. So the n largest eigenpairs of one `eigh` of M give sigma
+    and orthonormal columns, repeated singular values included. Repeats
+    are the rule for U + U^T with U unitary, which `us_retract` gets from
+    `mo_u_proj`: K = conj(U) U is similar to its conjugate, so its
+    eigenvalues pair as e^{+-j theta}, and A^H A = 2I + K + K^H doubles
+    every sigma.
+
+    Columns with sigma <= 1e-8 sigma_max, where +-sigma meet, become an
+    orthonormal completion of the rest (I when A = 0), which A does not
+    see. Just above that bound a column can lean toward j times another;
+    if unitarity is lost beyond 1e-8, one polar step Q (3I - Q^H Q) / 2
+    restores it and moves Q diag(sigma) Q^T by O(eps ||A||). Each column
+    has Re q_1 >= 0, so a 1 x 1 A keeps the principal branch, its phase
+    halved into [-pi/2, pi/2].
 
     Args:
         A: square complex symmetric matrix (symmetrized internally); a
@@ -111,24 +89,32 @@ def takagi(A: np.ndarray) -> TakagiFactors:
 
     Returns:
         TakagiFactors(Q, sigma) with Q unitary and sigma descending. A
-        factor whose unitarity residual exceeds 1e-8 raises NumericalError.
+        factor whose unitarity residual exceeds 1e-8, or an eigensolver
+        that does not converge, raises NumericalError.
     """
     A = _square(A)
-    nrm = np.linalg.norm(A)
-    if np.linalg.norm(A - A.T) > 1e-8 * max(1.0, nrm):
+    if np.linalg.norm(A - A.T) > 1e-8 * max(1.0, np.linalg.norm(A)):
         raise ValueError("A is not symmetric within tolerance")
     A = (A + A.T) / 2.0
-    try:
-        F, sigma, Gh = np.linalg.svd(A)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalError(f"SVD did not converge for shape {A.shape}: {exc}") from exc
-    W = F.conj().T @ Gh.T
     n = A.shape[0]
-    root = np.eye(n, dtype=complex)
-    for ix in _sigma_groups(sigma, 1e-8):
-        root[ix, ix] = _group_root(W[ix, ix])
-    Q = F @ root
-    unit_res = np.linalg.norm(Q @ Q.conj().T - np.eye(n))
+    M = np.empty((2 * n, 2 * n))
+    M[:n, :n], M[n:, n:], M[:n, n:], M[n:, :n] = A.real, -A.real, A.imag, A.imag
+    try:
+        w, V = np.linalg.eigh(M)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalError(f"eigensolver did not converge for the real form of "
+                             f"shape {A.shape}: {exc}") from exc
+    sigma = np.maximum(w[n:][::-1], 0.0)
+    V = V[:, n:][:, ::-1]
+    Q = (V[:n] + 1j * V[n:]) * np.where(V[:1] < 0.0, -1.0, 1.0)
+    r = np.count_nonzero(sigma > 1e-8 * sigma.max(initial=0.0))
+    if r < n:
+        Q[:, r:] = np.linalg.qr(Q[:, :r], mode="complete")[0][:, r:]
+    G = Q.conj().T @ Q
+    unit_res = np.linalg.norm(G - np.eye(n))
+    if unit_res > 1e-8:
+        Q = Q @ (1.5 * np.eye(n) - 0.5 * G)
+        unit_res = np.linalg.norm(Q.conj().T @ Q - np.eye(n))
     if unit_res > 1e-8:
         raise NumericalError(
             f"Takagi factor lost unitarity: residual {unit_res:.3e} (n={n}, "

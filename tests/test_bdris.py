@@ -47,7 +47,7 @@ from unisym.manifold import (
     us_retract,
     us_tangent_project,
 )
-from unisym.optimizer import OptimizerConfig, optimize_us, phase_sweep
+from unisym.optimizer import OptimizerConfig, optimize_u_armijo, optimize_us, phase_sweep
 
 
 def crandn(rng, *shape):
@@ -858,7 +858,8 @@ class TestMoUProjBaseline:
     def test_armijo_step_sees_only_the_gradient_rank(self, monkeypatch):
         # on a 4x4 link at M = 64 the tangent has rank at most
         # 2 min(nr, nt) = 8: no m x m exponential, and no eigendecomposition
-        # larger than that
+        # larger than that in the ascent (the baseline's final retraction
+        # takes one of the 2m x 2m real form, outside the step)
         import unisym.linalg
         import unisym.manifold
         expm_calls, eigh_shapes = [], []
@@ -875,7 +876,8 @@ class TestMoUProjBaseline:
         monkeypatch.setattr(unisym.manifold, "expm_skew_hermitian", recording_expm)
         monkeypatch.setattr(np.linalg, "eigh", recording_eigh)
         sc = Scenario(m=64)
-        _, trace = mo_u_proj_baseline(gen_channels(sc, seed=3), sc.rho, u_random(64, seed=3))
+        obj = RateObjective(gen_channels(sc, seed=3), sc.rho)
+        _, trace = optimize_u_armijo(obj, u_random(64, seed=3))
         assert trace.iterations >= 2
         assert not expm_calls
         assert eigh_shapes and all(max(s) <= 8 for s in eigh_shapes)

@@ -39,6 +39,12 @@ EXTREME_SNR = {"rho_db": 3080.0, "pl0_db": 0.0, "tx_pos": [0.0, 0.0, 0.0],
                "ris_pos": [1.0, 0.0, 0.0], "rx_pos": [1.0, 1.0, 0.0], "sweep": [64]}
 
 
+# the mo_us phase sweep's bound 2 rho b^2 overflows below the Gram check's
+# reach: 3060 dB on the same links
+SWEEP_OVERFLOW = {**EXTREME_SNR, "rho_db": 3060.0, "sweep": [4, 16, 64], "trials": 2,
+                  "max_iters": 30, "methods": ["mo_us"]}
+
+
 def tiny_spec(out_dir, **over):
     values = {
         "nt": 2, "nr": 2,
@@ -278,6 +284,27 @@ class TestRunExperiment:
         errors = read_csv(result.output_dir / "errors.csv")
         assert [r[0] for r in errors[1:]] == list(spec.methods)
         assert all("argument overflowed" in r[4] for r in errors[1:])
+
+    def test_sweep_overflow_becomes_error_rows(self, tmp_path):
+        # warnings are errors here, so an overflow inside the sweep would
+        # raise instead of reaching a row
+        spec = build_run_spec({**SWEEP_OVERFLOW, "output_dir": str(tmp_path / "r")})
+        result = run_experiment(spec)
+        assert len(result.rows) == 3 * 2
+        failed = [r for r in result.rows if r.converged == "error"]
+        assert all(math.isfinite(r.rate_bits) for r in result.rows if r not in failed)
+        errors = read_csv(result.output_dir / "errors.csv")
+        assert [r[:4] for r in errors[1:]] == \
+            [[r.method, str(r.M), str(r.trial), str(r.seed)] for r in failed]
+        assert any("phase sweep overflowed" in r[4] for r in errors[1:])
+
+    def test_rerun_removes_stale_trace_files(self, tmp_path):
+        run_experiment(tiny_spec(tmp_path / "r", sweep=[4, 16], trials=2))
+        result = run_experiment(tiny_spec(tmp_path / "r", sweep=[4], trials=1))
+        named = {f"trace_{r.method}_{r.M}_{r.trial}.csv" for r in result.rows
+                 if r.method != "low_cost" and r.converged != "error"}
+        assert len(named) == 2
+        assert {p.name for p in (tmp_path / "r").glob("trace_*")} == named
 
     def test_clean_rerun_removes_stale_errors_file(self, tmp_path):
         failing = tiny_spec(tmp_path / "r", nr=8, nt=2, rho_db=300.0, sweep=[16], trials=1)

@@ -8,7 +8,6 @@ the exponential) computed here, never from the code under test.
 import numpy as np
 import pytest
 
-import unisym.linalg
 from unisym.linalg import (
     NumericalError,
     eig_real_symmetric,
@@ -20,6 +19,11 @@ from unisym.manifold import us_retract
 
 def crandn(rng, *shape):
     return (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / np.sqrt(2)
+
+
+def haar_unitary(rng, n):
+    Z, R = np.linalg.qr(crandn(rng, n, n))
+    return Z * (np.diag(R) / np.abs(np.diag(R)))
 
 
 def expm_taylor(S, squarings=20, terms=30):
@@ -82,6 +86,14 @@ class TestTakagi:
         np.testing.assert_allclose(sigma, [1.0], atol=1e-14)
         np.testing.assert_allclose(Q, [[np.exp(0.25j * np.pi)]], atol=1e-12)
         np.testing.assert_allclose(Q @ np.diag(sigma) @ Q.T, A, atol=1e-12)
+
+    @pytest.mark.parametrize("phase", [-0.99 * np.pi, -np.pi / 2, -0.3, 0.0, 2.0, 0.99 * np.pi])
+    def test_scalar_principal_branch(self, phase):
+        # the halved phase lies in (-pi/2, pi/2), whichever sign the
+        # eigensolver gives the eigenvector
+        Q, sigma = takagi(np.array([[2.0 * np.exp(1j * phase)]]))
+        np.testing.assert_allclose(sigma, [2.0], rtol=1e-14)
+        np.testing.assert_allclose(Q, [[np.exp(0.5j * phase)]], atol=1e-12)
 
     def test_identity(self):
         Q, sigma = takagi(np.eye(2, dtype=complex))
@@ -147,17 +159,49 @@ class TestTakagi:
             assert rec <= 1e-9 * np.linalg.norm(A), lam
             assert unit <= 1e-10, lam
 
-    def test_svd_failure_raises(self, monkeypatch):
+    def test_eigensolver_failure_raises(self, monkeypatch):
         def no_convergence(*args, **kwargs):
-            raise np.linalg.LinAlgError("SVD did not converge")
-        monkeypatch.setattr(np.linalg, "svd", no_convergence)
-        with pytest.raises(NumericalError, match="SVD did not converge"):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+        monkeypatch.setattr(np.linalg, "eigh", no_convergence)
+        with pytest.raises(NumericalError, match=r"eigensolver did not converge .*\(3, 3\)"):
             takagi(np.eye(3, dtype=complex))
 
-    def test_non_unitary_root_raises(self, monkeypatch):
-        monkeypatch.setattr(unisym.linalg, "_group_root", lambda W: 2.0 * np.eye(W.shape[0]))
+    def test_non_unitary_factor_raises(self, monkeypatch):
+        # the eigensolver hands back its leading eigenvector twice: no
+        # completion or polar step can make that factor unitary
+        def duplicated(a, *args, real=np.linalg.eigh, **kwargs):
+            w, V = real(a, *args, **kwargs)
+            V[:, -2] = V[:, -1]
+            return w, V
+        monkeypatch.setattr(np.linalg, "eigh", duplicated)
         with pytest.raises(NumericalError, match="lost unitarity"):
             takagi(np.eye(3, dtype=complex))
+
+    @pytest.mark.parametrize("n", [64, 256])
+    def test_every_singular_value_repeated(self, n):
+        # A = U + U^T for a Haar unitary U: conj(U) U is similar to its
+        # conjugate, so each singular value of A comes twice
+        U = haar_unitary(np.random.default_rng(n), n)
+        A = U + U.T
+        rec, unit, sigma = takagi_residuals(A)
+        assert np.allclose(sigma[0::2], sigma[1::2], rtol=1e-10)
+        assert rec <= 1e-14 * np.linalg.norm(A)
+        assert unit < 1e-10
+
+    def test_singular_values_just_above_the_zero_bound(self):
+        # three singular values at 1.1-1.4e-8 sigma_max count as nonzero;
+        # their vectors lean toward j times each other by up to ~1e-8, and
+        # the factor must still come back unitary, its product exact
+        rng = np.random.default_rng(4)
+        worst_rec = worst_unit = 0.0
+        for _ in range(100):
+            U = haar_unitary(rng, 8)
+            s = np.concatenate((np.sort(rng.uniform(0.5, 1.0, 5))[::-1],
+                                np.sort(rng.uniform(1.1e-8, 1.4e-8, 3))[::-1]))
+            rec, unit, _ = takagi_residuals((U * s) @ U.T)
+            worst_rec, worst_unit = max(worst_rec, rec), max(worst_unit, unit)
+        assert worst_rec <= 1e-13
+        assert worst_unit <= 1e-8
 
     def test_asymmetric_rejected(self):
         A = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
