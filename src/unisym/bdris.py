@@ -310,8 +310,9 @@ class RateObjective(Objective):
         Never returns a phase worse than theta[m]; flat axes (e.g. a column
         annihilated by F) keep their current phase.
         """
-        if not 0 <= m < Fr.n:
+        if isinstance(m, (int, np.integer)) and not 0 <= m < Fr.n:
             raise ValueError(f"phase index {m} out of range for n={Fr.n}")
+        _check_count(m, "m", least=0)    # a bool, a float or None is no index
         return float(self._sweep(Fr, Fr.phases(theta, "theta"), (m,))[m])
 
     def sweep(self, Fr: GeodesicFrame, theta: np.ndarray) -> np.ndarray:
@@ -350,9 +351,9 @@ class RateObjective(Objective):
         UW = U[:, :, None] * W[:, None, :]
         base = np.eye(Ut.shape[1]) + (self.rho * ww[rows])[:, None, None] * (
             U[:, :, None] * U.conj()[:, None, :])
-        for m, uw, u, wc, b in zip(live, UW, U, W.conj(), base):
+        for m, uw, u, wc, base_m in zip(live, UW, U, W.conj(), base):
             C = H - cmath.exp(1j * theta[m]) * uw
-            theta[m] = _phase_step(C, u, wc, b, self.rho, theta[m])
+            theta[m] = _phase_step(C, u, wc, base_m, self.rho, theta[m])
             H = C + cmath.exp(1j * theta[m]) * uw
         return theta
 

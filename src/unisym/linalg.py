@@ -4,8 +4,10 @@ All routines are pure functions of their ndarray inputs and fix their
 choices (eigenvector bases from one `eigh`, column signs) so downstream
 code gets deterministic factors; `takagi` too is one `eigh`, of a real
 form, with no SVD. Contracts are residual bounds, checked by the
-callers' tests; only `takagi` re-verifies its own, the unitarity of its
-factor, on every call.
+callers' tests. The one drift rule for unitary factors, which `takagi`
+and the optimizers apply, lives here too: a factor whose residual
+||Q Q^H - I||_F is not within DRIFT_TOL (NaN never is) gets one polar
+step, and one that step cannot mend raises NumericalError.
 """
 
 from __future__ import annotations
@@ -13,6 +15,10 @@ from __future__ import annotations
 from typing import NamedTuple
 
 import numpy as np
+
+
+# Unitarity residual within which a factor counts as on the manifold.
+DRIFT_TOL = 1e-8
 
 
 class NumericalError(RuntimeError):
@@ -43,6 +49,24 @@ def _check_count(value, name: str, least: int = 1) -> None:
     integer, not a bool, of at least least."""
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < least:
         raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
+
+
+def _unitarity_residual(Q: np.ndarray) -> float:
+    """||Q Q^H - I||_F."""
+    return float(np.linalg.norm(Q @ Q.conj().T - np.eye(Q.shape[0])))
+
+
+def _restore_unitary(Q: np.ndarray, what: str) -> tuple[np.ndarray, float]:
+    """(Q', its residual) for a drifted factor Q: one Newton-Schulz polar
+    step Q' = Q (3I - Q^H Q) / 2 squares a small drift (1e-7 becomes about
+    1e-14). A Q' still not within DRIFT_TOL raises NumericalError naming
+    what."""
+    Q = Q @ (1.5 * np.eye(Q.shape[0]) - 0.5 * (Q.conj().T @ Q))
+    res = _unitarity_residual(Q)
+    if not res <= DRIFT_TOL:    # negated, so that NaN fails too
+        raise NumericalError(f"{what} lost unitarity: residual {res:.3e} after one "
+                             f"polar step (n={Q.shape[0]})")
+    return Q, res
 
 
 def eig_real_symmetric(R: np.ndarray) -> RealSymEig:
@@ -78,9 +102,9 @@ def takagi(A: np.ndarray) -> TakagiFactors:
     Columns with sigma <= 1e-8 sigma_max, where +-sigma meet, become an
     orthonormal completion of the rest (I when A = 0), which A does not
     see. Just above that bound a column can lean toward j times another;
-    if unitarity is lost beyond 1e-8, one polar step Q (3I - Q^H Q) / 2
-    restores it and moves Q diag(sigma) Q^T by O(eps ||A||). Each column
-    has Re q_1 >= 0, so a 1 x 1 A keeps the principal branch, its phase
+    the drift rule (_restore_unitary) then mends Q by one polar step,
+    which moves Q diag(sigma) Q^T by O(eps ||A||). Each column has
+    Re q_1 >= 0, so a 1 x 1 A keeps the principal branch, its phase
     halved into [-pi/2, pi/2].
 
     Args:
@@ -88,9 +112,10 @@ def takagi(A: np.ndarray) -> TakagiFactors:
             relative asymmetry above 1e-8 is rejected with ValueError.
 
     Returns:
-        TakagiFactors(Q, sigma) with Q unitary and sigma descending. A
-        factor whose unitarity residual exceeds 1e-8, or an eigensolver
-        that does not converge, raises NumericalError.
+        TakagiFactors(Q, sigma) with Q unitary within DRIFT_TOL and sigma
+        descending. A factor that one polar step cannot bring within
+        DRIFT_TOL, or an eigensolver that does not converge, raises
+        NumericalError.
     """
     A = _square(A)
     if np.linalg.norm(A - A.T) > 1e-8 * max(1.0, np.linalg.norm(A)):
@@ -110,15 +135,8 @@ def takagi(A: np.ndarray) -> TakagiFactors:
     r = np.count_nonzero(sigma > 1e-8 * sigma.max(initial=0.0))
     if r < n:
         Q[:, r:] = np.linalg.qr(Q[:, :r], mode="complete")[0][:, r:]
-    G = Q.conj().T @ Q
-    unit_res = np.linalg.norm(G - np.eye(n))
-    if unit_res > 1e-8:
-        Q = Q @ (1.5 * np.eye(n) - 0.5 * G)
-        unit_res = np.linalg.norm(Q.conj().T @ Q - np.eye(n))
-    if unit_res > 1e-8:
-        raise NumericalError(
-            f"Takagi factor lost unitarity: residual {unit_res:.3e} (n={n}, "
-            f"sigma range [{sigma[-1] if n else 0:.3e}, {sigma[0] if n else 0:.3e}])")
+    if not _unitarity_residual(Q) <= DRIFT_TOL:
+        Q = _restore_unitary(Q, "Takagi factor")[0]
     return TakagiFactors(Q=Q, sigma=sigma)
 
 

@@ -5,8 +5,9 @@ unitary factor Q (a Takagi factor of U) and its matrix is derived as
 U = Q Q^T, so it is symmetric by construction and unitary exactly as far as
 Q is. The factor makes tangent projection, geodesics, and the
 multiplicative phase update cheap: iterative callers update Q instead of
-re-factorizing U each step, and refresh it to the nearest unitary matrix
-only when Q drifts from unitarity.
+re-factorizing U each step. Whether a factor is still unitary is decided
+by the drift rule of `linalg` (DRIFT_TOL and one residual, re-exported
+here), which the optimizers apply to every candidate point.
 
 The few operations on the plain unitary manifold needed by the projection
 baseline (tangent projection and geodesic steps on U(n)) live here too;
@@ -20,15 +21,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .linalg import _check_count, eig_real_symmetric, expm_skew_hermitian, takagi
-
-# Residual level above which a factor is considered stale and the point is
-# refreshed to the nearest unitary matrix.
-DRIFT_TOL = 1e-8
-
-
-def _unitarity_residual(A: np.ndarray) -> float:
-    return float(np.linalg.norm(A @ A.conj().T - np.eye(A.shape[0])))
+from .linalg import (DRIFT_TOL, _check_count, _unitarity_residual, eig_real_symmetric,
+                     expm_skew_hermitian, takagi)
 
 
 @dataclass(frozen=True, eq=False)
@@ -93,11 +87,12 @@ class GeodesicFrame:
         return self.QR.shape[0]
 
     def phases(self, theta, name: str = "phases") -> np.ndarray:
-        """theta as a float copy, if it is a real vector of length n;
+        """theta as a float copy, if it is a finite real vector of length n;
         otherwise ValueError naming name and the shape."""
         theta = np.asarray(theta)
-        if np.iscomplexobj(theta) or theta.shape != (self.n,):
-            raise ValueError(f"{name} must be a real vector of shape ({self.n},), "
+        if (np.iscomplexobj(theta) or theta.shape != (self.n,)
+                or not np.all(np.isfinite(theta))):
+            raise ValueError(f"{name} must be a finite real vector of shape ({self.n},), "
                              f"got {theta.dtype} of shape {theta.shape}")
         return theta.astype(float)
 

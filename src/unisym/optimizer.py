@@ -18,9 +18,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import _check_count
+from .linalg import DRIFT_TOL, _check_count, _restore_unitary
 from .manifold import (
-    DRIFT_TOL,
     GeodesicFrame,
     UPoint,
     UsPoint,
@@ -172,7 +171,7 @@ def _ascend(obj: Objective, P0, cfg: OptimizerConfig, step):
     moves and stops when |F_new - F| < epsilon or at max_iters.
     """
     residual = P0.max_residual()
-    if residual > DRIFT_TOL:
+    if not residual <= DRIFT_TOL:    # negated, so that NaN fails too
         raise ValueError(f"U0 is off the manifold: not unitary, residual {residual:.3e}")
     P, F = P0, float(obj.eval(P0))
     trace = IterationTrace([IterationRecord(
@@ -191,21 +190,20 @@ def _ascend(obj: Objective, P0, cfg: OptimizerConfig, step):
             trace.status = "stalled" if stalled else "converged"
             return P_new, trace
         P, F = P_new, F_new
-    trace.status = "max_iters"
     return P, trace
 
 
 def _settle(obj: Objective, cand, value: float | None = None):
     """(cand, value, residual) for a candidate point, valued here unless its
-    value is given. A candidate that drifted beyond DRIFT_TOL is replaced by
-    the nearest point of its manifold, the polar factor u vh of its unitary
-    matrix's SVD, and valued again."""
+    value is given. A candidate whose residual is not within DRIFT_TOL (NaN
+    never is) has its unitary factor mended by the drift rule of linalg,
+    one polar step, and is valued again; a factor that step cannot mend
+    raises NumericalError."""
     res = cand.max_residual()
-    if res > DRIFT_TOL:
-        u, _, vh = np.linalg.svd(cand.Q if isinstance(cand, UsPoint) else cand.U)
-        cand = type(cand)(u @ vh)
-        res = cand.max_residual()
-        value = None
+    if not res <= DRIFT_TOL:
+        A, res = _restore_unitary(cand.Q if isinstance(cand, UsPoint) else cand.U,
+                                  "candidate point")
+        cand, value = type(cand)(A), None
     return cand, float(obj.eval(cand)) if value is None else value, res
 
 

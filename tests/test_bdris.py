@@ -478,6 +478,10 @@ class TestRateObjective:
         for m in (-1, 5):
             with pytest.raises(ValueError, match="out of range"):
                 obj.phase_maximizer(Fr, theta, m)
+        # a bool, a float or None is no index either
+        for m in (True, 1.0, None):
+            with pytest.raises(ValueError, match="m must be an integer"):
+                obj.phase_maximizer(Fr, theta, m)
 
     def test_theta_of_another_length_rejected(self):
         # a shorter theta would broadcast over every axis of the frame
@@ -488,6 +492,20 @@ class TestRateObjective:
         for n in (1, 4):
             with pytest.raises(ValueError, match=rf"theta must be .* \(5,\), .* shape \({n},\)"):
                 obj.phase_maximizer(Fr, np.zeros(n), 0)
+
+    def test_non_finite_phases_rejected(self):
+        # a NaN phase would reach the per-phase margin check as "margin nan"
+        rng = np.random.default_rng(17)
+        ch = make_channels(rng, 2, 2, 5)
+        obj = RateObjective(ch, rho=2.0)
+        Fr = random_frame(rng, ch, 2.0, 5)
+        for bad in (np.nan, np.inf):
+            theta = np.zeros(5)
+            theta[2] = bad
+            with pytest.raises(ValueError, match="theta0 must be a finite real vector"):
+                phase_sweep(obj, Fr, theta)
+            with pytest.raises(ValueError, match="theta must be a finite real vector"):
+                obj.phase_maximizer(Fr, theta, 0)
 
     def test_sweep_updates_beat_per_coordinate_grid(self):
         # full ascent on an 8-element response: accepted iterates never lose

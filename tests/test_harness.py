@@ -298,6 +298,24 @@ class TestRunExperiment:
             [[r.method, str(r.M), str(r.trial), str(r.seed)] for r in failed]
         assert any("phase sweep overflowed" in r[4] for r in errors[1:])
 
+    def test_unmendable_drift_becomes_error_rows(self, tmp_path, monkeypatch):
+        # every candidate either iterative method forms drifts by a relative
+        # 1e-2, which one polar step cannot mend: each trial is an error row
+        # with its errors.csv line, not a quietly replaced point
+        import unisym.optimizer as opt
+        from unisym.manifold import UPoint, UsPoint
+        us_exact, u_exact = opt.us_point_at, opt.u_point_at
+        monkeypatch.setattr(opt, "us_point_at",
+                            lambda Fr, phases: UsPoint(Q=us_exact(Fr, phases).Q * (1 + 1e-2)))
+        monkeypatch.setattr(opt, "u_point_at",
+                            lambda Fr, t: UPoint(U=u_exact(Fr, t).U * (1 + 1e-2)))
+        result = run_experiment(tiny_spec(tmp_path / "r", methods=["mo_us", "mo_u_proj"]))
+        assert [r.converged for r in result.rows] == ["error"] * 4
+        errors = read_csv(result.output_dir / "errors.csv")
+        assert [r[:4] for r in errors[1:]] == \
+            [[r.method, str(r.M), str(r.trial), str(r.seed)] for r in result.rows]
+        assert all("candidate point lost unitarity" in r[4] for r in errors[1:])
+
     def test_rerun_removes_stale_trace_files(self, tmp_path):
         run_experiment(tiny_spec(tmp_path / "r", sweep=[4, 16], trials=2))
         result = run_experiment(tiny_spec(tmp_path / "r", sweep=[4], trials=1))

@@ -225,6 +225,10 @@ class TestUsPointAt:
         # a complex vector of the right length would lose its imaginary part
         with pytest.raises(ValueError, match="real vector"):
             us_point_at(Fr, np.full(4, 1j))
+        # a non-finite phase would give a NaN factor
+        for bad in (np.nan, np.inf, -np.inf):
+            with pytest.raises(ValueError, match=r"phases must be a finite real vector"):
+                us_point_at(Fr, [bad, 0.0, 0.0, 0.0])
 
 
 class TestUsRetract:

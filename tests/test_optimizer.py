@@ -16,8 +16,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from unisym.linalg import NumericalError
 from unisym.manifold import (
     GeodesicFrame,
+    UPoint,
     UsPoint,
     as_matrix,
     u_random,
@@ -226,6 +228,19 @@ class TestOptimizeUs:
         bad = UsPoint(Q=2 * np.eye(3, dtype=complex))
         with pytest.raises(ValueError, match="manifold"):
             optimize_us(ConstantObjective(), bad)
+        # a NaN residual is not within DRIFT_TOL either
+        with pytest.raises(ValueError, match="off the manifold"):
+            optimize_us(ConstantObjective(), UsPoint(Q=np.full((3, 3), np.nan, dtype=complex)))
+
+    def test_drift_one_step_cannot_mend_raises(self, monkeypatch):
+        # a relative 1e-2 drift leaves ~1e-4 after one polar step, far
+        # above DRIFT_TOL: a named error, never a quietly replaced point
+        import unisym.optimizer as opt
+        exact = opt.us_point_at
+        monkeypatch.setattr(opt, "us_point_at",
+                            lambda Fr, phases: UsPoint(Q=exact(Fr, phases).Q * (1 + 1e-2)))
+        with pytest.raises(NumericalError, match="candidate point lost unitarity"):
+            optimize_us(LinearTrace(sym_matrix(23)), us_random(4, seed=7))
 
 
 class TestPhaseSweep:
@@ -247,6 +262,8 @@ class TestPhaseSweep:
         Fr = GeodesicFrame(QR=np.eye(3, dtype=complex), theta=np.zeros(3))
         with pytest.raises(ValueError):
             phase_sweep(ConstantObjective(), Fr, np.zeros(2))
+        with pytest.raises(ValueError, match="theta0 must be a finite real vector"):
+            phase_sweep(ConstantObjective(), Fr, np.array([0.0, np.nan, 0.0]))
 
 
 class TestOptimizeUArmijo:
@@ -301,6 +318,17 @@ class TestOptimizeUArmijo:
         from unisym.manifold import UPoint
         with pytest.raises(ValueError, match="unitary"):
             optimize_u_armijo(ConstantObjective(), UPoint(U=2 * np.eye(2, dtype=complex)))
+        # a NaN residual is not within DRIFT_TOL either
+        with pytest.raises(ValueError, match="off the manifold"):
+            optimize_u_armijo(ConstantObjective(), UPoint(U=np.full((2, 2), np.nan, dtype=complex)))
+
+    def test_drift_one_step_cannot_mend_raises(self, monkeypatch):
+        import unisym.optimizer as opt
+        exact = opt.u_point_at
+        monkeypatch.setattr(opt, "u_point_at",
+                            lambda Fr, t: UPoint(U=exact(Fr, t).U * (1 + 1e-2)))
+        with pytest.raises(NumericalError, match="candidate point lost unitarity"):
+            optimize_u_armijo(LinearTrace(sym_matrix(29)), u_random(4, seed=13))
 
 
 def fresh_interpreter_lines(code):

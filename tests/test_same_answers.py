@@ -1,5 +1,6 @@
 """tools/same_answers.py on a tiny spec: the working tree against itself
-is identical, and a changed rate is reported, row by row and per cell."""
+is identical, and a changed rate is reported, row by row and per cell;
+its net line count of src/unisym is +0 against itself."""
 
 import csv
 import importlib.util
@@ -37,3 +38,16 @@ def test_working_tree_against_itself_then_a_changed_rate(tmp_path):
     assert sum(line.startswith("  cell ") for line in lines) == 1
     assert lines[-1] == "5 of 6 files identical"
     assert lines[0].endswith("max |d rate_bits| 1e-09")
+
+
+def test_src_line_count(tmp_path):
+    n = same_answers.src_lines(ROOT / "src")
+    assert n > 1000
+    # a copy of the package is +0 against it, and one more line is +1
+    (tmp_path / "unisym").mkdir()
+    for f in (ROOT / "src" / "unisym").glob("*.py"):
+        (tmp_path / "unisym" / f.name).write_text(f.read_text())
+    assert same_answers.src_lines(tmp_path) - n == 0
+    with open(tmp_path / "unisym" / "linalg.py", "a") as fh:
+        fh.write("# one more line\n")
+    assert same_answers.src_lines(tmp_path) - n == 1

@@ -12,7 +12,8 @@ each (method, M, trial) row whose rate_bits differ with its |delta|, the
 largest |delta| per method, for each (method, M) cell with a moved row
 the mean and the range of the per-trial differences (new minus base),
 the rows whose iteration counts differ and the error rows on either side.
-Exit status: 0 when every file is identical, 1 when any differs, 2 when
+It also prints the net change in lines of `src/unisym/*.py`, new minus
+base. Exit status: 0 when every file is identical, 1 when any differs, 2 when
 the ref cannot be read or a side fails to run.
 """
 
@@ -154,6 +155,12 @@ def compare_outputs(base: Path, new: Path, names) -> tuple[bool, list[str]]:
     return n_same == n_all, lines
 
 
+def src_lines(src: Path) -> int:
+    """Lines in the Python files of src/unisym."""
+    return sum(len(f.read_text(encoding="utf-8").splitlines())
+               for f in (src / "unisym").glob("*.py"))
+
+
 def compare(base_src: Path, new_src: Path, specs: dict, workdir: Path) -> tuple[bool, list[str]]:
     """Run specs on both sources under workdir and compare their outputs."""
     run_sides(base_src, new_src, specs, workdir)
@@ -173,13 +180,16 @@ def main(argv=None) -> int:
             return 2
         with tarfile.open(fileobj=io.BytesIO(archive.stdout)) as tar:
             tar.extractall(workdir / "ref", filter="data")
+        base_src, new_src = workdir / "ref" / "src", ROOT / "src"
         try:
-            same, lines = compare(workdir / "ref" / "src", ROOT / "src", SPECS, workdir)
+            same, lines = compare(base_src, new_src, SPECS, workdir)
         except RuntimeError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 2
+        n_base, n_new = src_lines(base_src), src_lines(new_src)
     print(f"base: {args.ref}; new: the working tree")
     print("\n".join(lines))
+    print(f"src/unisym lines: {n_base} -> {n_new}, net {n_new - n_base:+d}")
     return 0 if same else 1
 
 
