@@ -230,22 +230,28 @@ def rate_bits(ch: ChannelSet, Theta, rho: float) -> float:
 
 
 def euclid_grad(ch: ChannelSet, Theta, rho: float) -> np.ndarray:
-    """Ambient gradient of the rate at Theta under the real trace metric.
+    """Ambient gradient J = A B^H of the rate at Theta under the real trace
+    metric, formed from the factors of _grad_factors."""
+    A, B = _grad_factors(ch, Theta, rho)
+    return A @ B.conj().T
 
-    The conjugate-Wirtinger derivative of ln det E is rho F^H E^-1 H_eq G;
-    the directional derivative along a perturbation D of Theta is twice
-    its real inner product with D, so the metric gradient returned here
-    carries the factor 2. E^-1 = L^-H L^-1 is applied by two solves with
-    the Cholesky factor.
+
+def _grad_factors(ch: ChannelSet, Theta, rho: float) -> tuple[np.ndarray, np.ndarray]:
+    """The rate gradient 2 rho F^H X G, X = E^-1 H_eq (nr x nt), as a pair
+    (A, B) with J = A B^H, of width min(nr, nt): 2 rho X joins F^H when
+    nt <= nr and G^H otherwise.
+
+    The conjugate-Wirtinger derivative of ln det E is rho F^H X G; the
+    directional derivative along a perturbation D of Theta is twice its
+    real inner product with D, so the metric gradient carries the factor
+    2. E^-1 = L^-H L^-1 is applied by two solves with the Cholesky factor
+    of E.
     """
-    return 2.0 * rho * (ch.F.conj().T @ _gram_solve(ch, Theta, rho) @ ch.G)
-
-
-def _gram_solve(ch: ChannelSet, Theta, rho: float) -> np.ndarray:
-    """X = E^-1 H_eq (nr x nt), the core of the gradient 2 rho F^H X G, by
-    two triangular solves with the Cholesky factor of E."""
     H, L = _gram_cholesky(ch, Theta, rho, "gradient")
-    return np.linalg.solve(L.conj().T, np.linalg.solve(L, H))
+    X = 2.0 * rho * np.linalg.solve(L.conj().T, np.linalg.solve(L, H))
+    if X.shape[1] <= X.shape[0]:
+        return ch.F.conj().T @ X, ch.G.conj().T
+    return ch.F.conj().T, ch.G.conj().T @ X.conj().T
 
 
 def _phase_step(C: np.ndarray, u: np.ndarray, wc: np.ndarray, base: np.ndarray,
@@ -292,17 +298,8 @@ class RateObjective(Objective):
     def eval(self, point) -> float:
         return rate(self.channels, point, self.rho)
 
-    def euclid_grad(self, point) -> np.ndarray:
-        return euclid_grad(self.channels, point, self.rho)
-
     def grad_factors(self, point) -> tuple[np.ndarray, np.ndarray]:
-        """The gradient 2 rho F^H X G as A B^H, of width min(nr, nt): 2 rho X
-        joins F^H when nt <= nr and G^H otherwise."""
-        ch = self.channels
-        X = 2.0 * self.rho * _gram_solve(ch, point, self.rho)
-        if X.shape[1] <= X.shape[0]:
-            return ch.F.conj().T @ X, ch.G.conj().T
-        return ch.F.conj().T, ch.G.conj().T @ X.conj().T
+        return _grad_factors(self.channels, point, self.rho)
 
     def phase_maximizer(self, Fr: GeodesicFrame, theta: np.ndarray, m: int) -> float:
         """The closed-form optimal phase of axis m, the others held at theta.

@@ -52,8 +52,11 @@ def _check_count(value, name: str, least: int = 1) -> None:
 
 
 def _unitarity_residual(Q: np.ndarray) -> float:
-    """||Q Q^H - I||_F."""
-    return float(np.linalg.norm(Q @ Q.conj().T - np.eye(Q.shape[0])))
+    """||Q Q^H - I||_F. A Q with a non-finite or huge entry gives NaN or
+    inf, which no tolerance accepts, and no overflow or invalid-value
+    warning on the way."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return float(np.linalg.norm(Q @ Q.conj().T - np.eye(Q.shape[0])))
 
 
 def _restore_unitary(Q: np.ndarray, what: str) -> tuple[np.ndarray, float]:

@@ -90,7 +90,7 @@ class GeodesicFrame:
         """theta as a float copy, if it is a finite real vector of length n;
         otherwise ValueError naming name and the shape."""
         theta = np.asarray(theta)
-        if (np.iscomplexobj(theta) or theta.shape != (self.n,)
+        if (theta.dtype.kind not in "iuf" or theta.shape != (self.n,)
                 or not np.all(np.isfinite(theta))):
             raise ValueError(f"{name} must be a finite real vector of shape ({self.n},), "
                              f"got {theta.dtype} of shape {theta.shape}")

@@ -2,12 +2,12 @@
 plus an Armijo line-search ascent on the plain unitary manifold used by
 the projection baseline.
 
-The main loop per iteration: Euclidean gradient at the current point,
-tangent projection to get the real symmetric direction R, eigendecompose
-R to open a geodesic frame, seed the frame phases with the gradient-step
-values, maximize the objective over each phase one coordinate at a time,
-then move with the multiplicative factor update. No step size is ever
-chosen.
+The main loop per iteration: Euclidean gradient J = A B^H from the
+objective's factors, tangent projection to get the real symmetric
+direction R, eigendecompose R to open a geodesic frame, seed the frame
+phases with the gradient-step values, let the objective's sweep maximize
+over each phase one coordinate at a time, then move with the
+multiplicative factor update. No step size is ever chosen.
 """
 
 from __future__ import annotations
@@ -36,67 +36,31 @@ ARMIJO_MAX_BACKTRACKS = 30
 
 
 class Objective:
-    """Contract the optimizers expect.
+    """Contract the two optimizers expect: three methods, all required.
 
-    eval(point) returns the objective value in nats; euclid_grad(point)
-    returns the ambient-space gradient J, consistent with eval under the
-    real trace inner product (directional derivative along a tangent B is
-    Re tr(J^H B)). grad_factors(point) returns the same gradient as a pair
-    (A, B) of n x r matrices with J = A B^H; the default is (J, I), and an
-    objective whose gradient has low rank r returns thin factors, which
-    make each step of optimize_u_armijo cost O(n^2 r).
+    eval(point) returns the objective value in nats.
+
+    grad_factors(point) returns the ambient gradient J under the real trace
+    inner product (the directional derivative along a tangent B is
+    Re tr(J^H B)) as a pair (A, B) of n x r matrices with J = A B^H.
+    optimize_us projects J = A B^H; optimize_u_armijo steps from the
+    factors, at O(n^2 r) per step when the gradient has low rank r.
 
     sweep(Fr, theta) is one coordinate-ascent pass over all frame phases in
     ascending index order, each update holding the others at their
     already-updated values. It may overwrite theta and returns the swept
-    phases, and it may never decrease the objective. The default maximizes
-    each phase by a numerical search; objectives with a closed form (the
-    rate objective, which also keeps its channel current by rank-one
-    updates) override it.
+    phases, and it may never decrease the objective. There is no numerical
+    fallback: an objective brings its own per-phase maximizer.
     """
 
     def eval(self, point) -> float:
         raise NotImplementedError
 
-    def euclid_grad(self, point) -> np.ndarray:
+    def grad_factors(self, point) -> tuple[np.ndarray, np.ndarray]:
         raise NotImplementedError
 
-    def grad_factors(self, point) -> tuple[np.ndarray, np.ndarray]:
-        J = self.euclid_grad(point)
-        return J, np.eye(J.shape[1])
-
     def sweep(self, Fr: GeodesicFrame, theta: np.ndarray) -> np.ndarray:
-        for m in range(Fr.n):
-            theta[m] = _search_phase(self, Fr, theta, m)
-        return theta
-
-
-def _search_phase(obj: Objective, Fr: GeodesicFrame, theta: np.ndarray, m: int) -> float:
-    """Search on a 360-point grid over (-pi, pi] plus a parabolic
-    refinement for one phase, holding the others fixed. Never returns a
-    worse phase than the current theta[m]."""
-    def f_of(phi: float) -> float:
-        t = theta.copy()
-        t[m] = phi
-        return obj.eval(us_point_at(Fr, t))
-
-    grid = 360
-    phis = -np.pi + 2 * np.pi * (np.arange(1, grid + 1)) / grid
-    vals = np.array([f_of(p) for p in phis])
-    f_cur = f_of(theta[m])
-    i = int(np.argmax(vals))
-    best_phi, best_val = theta[m], f_cur
-    if vals[i] > best_val:
-        best_phi, best_val = phis[i], vals[i]
-    # refine around the best grid point when it strictly beats its neighbors:
-    # the vertex of the parabola through the three (the denominator is < 0)
-    left, right = vals[(i - 1) % grid], vals[(i + 1) % grid]
-    if vals[i] > left and vals[i] > right:
-        phi = phis[i] + (np.pi / grid) * (left - right) / (left - 2.0 * vals[i] + right)
-        f_phi = f_of(phi)
-        if f_phi > best_val:
-            best_phi, best_val = phi, f_phi
-    return best_phi
+        raise NotImplementedError
 
 
 @dataclass
@@ -211,8 +175,8 @@ def _us_step(obj: Objective, P: UsPoint, F: float):
     """One iteration of optimize_us; core_s times the gradient, projection,
     frame and factor update, not the sweep, checks or evaluations."""
     t_start = time.perf_counter()
-    J = obj.euclid_grad(P)
-    D = us_tangent_project(P, J)
+    A, B = obj.grad_factors(P)
+    D = us_tangent_project(P, A @ B.conj().T)
     grad_norm = D.norm()
     Fr = us_geodesic_frame(P, D)
     core_s = time.perf_counter() - t_start
@@ -232,11 +196,11 @@ def optimize_us(obj: Objective, U0: UsPoint,
                 cfg: OptimizerConfig | None = None) -> tuple[UsPoint, IterationTrace]:
     """Ascent on the unitary-symmetric manifold without step-size tuning.
 
-    Per iteration: J = euclid_grad, project to R, open the geodesic frame
-    of R, run one phase sweep seeded with the frame's own gradient-step
-    phases, and take the new point with its multiplicatively updated
-    factor. The seeded pass can in principle end below the current value;
-    when that happens the sweep is redone from the all-zeros phase
+    Per iteration: the gradient J = A B^H from obj.grad_factors, projected
+    to R; the geodesic frame of R; one obj.sweep seeded with the frame's
+    own gradient-step phases; and the new point with its multiplicatively
+    updated factor. The seeded pass can in principle end below the current
+    value; when that happens the sweep is redone from the all-zeros phase
     vector, which reproduces the current point and therefore cannot lose
     ground. Stops when |F_k - F_{k-1}| < epsilon or at max_iters; a move
     that the redone pass still ends below (roundoff) is refused: "stalled".

@@ -461,13 +461,18 @@ class TestPerPhaseOpt:
 
 
 class TestRateObjective:
-    def test_eval_and_grad_delegate(self):
+    @pytest.mark.parametrize("nr,nt", [(2, 2), (8, 2), (2, 8)])
+    def test_eval_and_grad_delegate(self, nr, nt):
+        # one rate gradient: the public m x m form is the product of the
+        # objective's factors, which are as wide as the smaller side
         rng = np.random.default_rng(16)
-        ch = make_channels(rng, 2, 2, 4)
+        ch = make_channels(rng, nr, nt, 4)
         obj = RateObjective(ch, rho=3.0)
         P = us_random(4, seed=4)
         assert obj.eval(P) == rate(ch, P, 3.0)
-        np.testing.assert_array_equal(obj.euclid_grad(P), euclid_grad(ch, P, 3.0))
+        A, B = obj.grad_factors(P)
+        assert A.shape == B.shape == (4, min(nr, nt))
+        np.testing.assert_array_equal(euclid_grad(ch, P, 3.0), A @ B.conj().T)
 
     def test_phase_index_out_of_range_rejected(self):
         rng = np.random.default_rng(17)
@@ -520,7 +525,7 @@ class TestRateObjective:
         assert np.all(np.diff(trace.values) >= -1e-12)
         assert trace.final_value >= rate(ch, P0, rho)
 
-        D = us_tangent_project(P0, obj.euclid_grad(P0))
+        D = us_tangent_project(P0, euclid_grad(ch, P0, rho))
         Fr = us_geodesic_frame(P0, D)
         theta = np.zeros(8)
         grid = np.linspace(-np.pi, np.pi, 361)
@@ -866,7 +871,7 @@ class TestMoUProjBaseline:
         for ch in (live, ChannelSet(Hd=live.Hd, F=np.zeros_like(live.F), G=live.G)):
             obj = RateObjective(ch, sc.rho)
             P = u_random(m, seed=nr + 10 * nt)
-            S = u_tangent_project(P, obj.euclid_grad(P))
+            S = u_tangent_project(P, euclid_grad(ch, P, sc.rho))
             Fr = u_geodesic_frame(P, *obj.grad_factors(P))
             assert abs(Fr.norm - np.linalg.norm(S)) <= tol * max(1.0, np.linalg.norm(S))
             for t in (1.0, 0.5, 2.0 ** -10):

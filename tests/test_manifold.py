@@ -229,6 +229,10 @@ class TestUsPointAt:
         for bad in (np.nan, np.inf, -np.inf):
             with pytest.raises(ValueError, match=r"phases must be a finite real vector"):
                 us_point_at(Fr, [bad, 0.0, 0.0, 0.0])
+        # an object array is no real vector either: a named ValueError, not
+        # numpy's TypeError from isfinite
+        with pytest.raises(ValueError, match=r"phases must be a finite real vector"):
+            us_point_at(Fr, np.array([None] * 4))
 
 
 class TestUsRetract:

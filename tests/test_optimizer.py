@@ -1,8 +1,9 @@
 """Optimizer behavior on analytic toy objectives.
 
 The rate objective gets its own tests; here the expected optima are known
-in closed form (constant, 1-D circle, separable cosines, linear trace),
-so convergence targets need no numerical oracle.
+in closed form (constant, 1-D circle, linear trace), and so is each
+toy objective's phase sweep, so convergence targets need no numerical
+oracle.
 """
 
 import ast
@@ -42,46 +43,40 @@ class ConstantObjective(Objective):
     def eval(self, point):
         return 3.0
 
-    def euclid_grad(self, point):
+    def grad_factors(self, point):
         n = as_matrix(point).shape[0]
-        return np.zeros((n, n), dtype=complex)
+        return np.zeros((n, 1), dtype=complex), np.zeros((n, 1), dtype=complex)
 
-
-class CircleObjective(Objective):
-    """f(U) = Re(U) on the 1x1 manifold (the unit circle); max at U = 1."""
-
-    def eval(self, point):
-        return float(np.real(as_matrix(point)[0, 0]))
-
-    def euclid_grad(self, point):
-        return np.array([[1.0 + 0j]])
-
-
-class SeparableCosine(Objective):
-    """sum_m cos(theta_m - a_m), with phases read off the diagonal."""
-
-    def __init__(self, a):
-        self.a = np.asarray(a, dtype=float)
-
-    def eval(self, point):
-        th = np.angle(np.diag(as_matrix(point)))
-        return float(np.sum(np.cos(th - self.a)))
-
-    def euclid_grad(self, point):
-        raise NotImplementedError("sweep-only stub")
+    def sweep(self, Fr, theta):
+        return theta
 
 
 class LinearTrace(Objective):
-    """f(U) = Re tr(A^H U) for a fixed symmetric A; gradient is A."""
+    """f(U) = Re tr(A^H U) for a fixed A; its gradient is A, as (A, I).
+
+    On a geodesic frame, U = sum_m e^{j phi_m} q_m q_m^T with q_m column m
+    of Fr.QR, so f = sum_m Re(e^{j phi_m} q_m^T conj(A) q_m) is separable:
+    the sweep sets phi_m = -arg(q_m^T conj(A) q_m), and keeps theta_m
+    where that value is 0.
+    """
 
     def __init__(self, A):
-        self.A = A
+        self.A = np.asarray(A, dtype=complex)
 
     def eval(self, point):
         return float(np.real(np.trace(self.A.conj().T @ as_matrix(point))))
 
-    def euclid_grad(self, point):
-        return self.A
+    def grad_factors(self, point):
+        return self.A, np.eye(self.A.shape[0])
+
+    def sweep(self, Fr, theta):
+        c = np.einsum("im,ij,jm->m", Fr.QR, self.A.conj(), Fr.QR)
+        return np.where(c == 0, theta, -np.angle(c))
+
+
+def CircleObjective():
+    """f(U) = Re(U) on the 1x1 manifold (the unit circle); max at U = 1."""
+    return LinearTrace([[1.0]])
 
 
 class DownhillKeepSeed(LinearTrace):
@@ -92,8 +87,8 @@ class DownhillKeepSeed(LinearTrace):
         super().__init__(A)
         self.swept = []   # (frame, phases) per sweep call
 
-    def euclid_grad(self, point):
-        return -1e-3 * self.A
+    def grad_factors(self, point):
+        return -1e-3 * self.A, np.eye(self.A.shape[0])
 
     def sweep(self, Fr, theta):
         self.swept.append((Fr, theta.copy()))
@@ -228,9 +223,11 @@ class TestOptimizeUs:
         bad = UsPoint(Q=2 * np.eye(3, dtype=complex))
         with pytest.raises(ValueError, match="manifold"):
             optimize_us(ConstantObjective(), bad)
-        # a NaN residual is not within DRIFT_TOL either
-        with pytest.raises(ValueError, match="off the manifold"):
-            optimize_us(ConstantObjective(), UsPoint(Q=np.full((3, 3), np.nan, dtype=complex)))
+        # a NaN residual is not within DRIFT_TOL either, and an infinite or
+        # huge factor is named as off the manifold, with no warning on the way
+        for bad in (np.nan, np.inf, 1e200):
+            with pytest.raises(ValueError, match="off the manifold"):
+                optimize_us(ConstantObjective(), UsPoint(Q=np.full((3, 3), bad, dtype=complex)))
 
     def test_drift_one_step_cannot_mend_raises(self, monkeypatch):
         # a relative 1e-2 drift leaves ~1e-4 after one polar step, far
@@ -243,6 +240,24 @@ class TestOptimizeUs:
             optimize_us(LinearTrace(sym_matrix(23)), us_random(4, seed=7))
 
 
+class EvalOnly(Objective):
+    def eval(self, point):
+        return 0.0
+
+
+class TestContract:
+    def test_an_objective_without_gradient_or_sweep_is_refused(self):
+        # the contract has no default bodies: no grid search stands in for
+        # a missing sweep, and no gradient is guessed
+        with pytest.raises(NotImplementedError):
+            optimize_us(EvalOnly(), us_random(3, seed=1))
+        with pytest.raises(NotImplementedError):
+            optimize_u_armijo(EvalOnly(), u_random(3, seed=1))
+        Fr = GeodesicFrame(QR=np.eye(3, dtype=complex), theta=np.zeros(3))
+        with pytest.raises(NotImplementedError):
+            phase_sweep(EvalOnly(), Fr, np.zeros(3))
+
+
 class TestPhaseSweep:
     def test_constant_returns_theta0(self):
         Fr = GeodesicFrame(QR=np.eye(3, dtype=complex), theta=np.zeros(3))
@@ -250,13 +265,14 @@ class TestPhaseSweep:
         out = phase_sweep(ConstantObjective(), Fr, theta0)
         assert np.array_equal(out, theta0)
 
-    def test_separable_cosine_recovers_targets(self):
-        a = np.array([0.5, -1.2, 2.0, 0.3])
-        obj = SeparableCosine(a)
-        Fr = GeodesicFrame(QR=np.eye(4, dtype=complex), theta=np.zeros(4))
-        out = phase_sweep(obj, Fr, np.zeros(4))
-        np.testing.assert_allclose(out, a, atol=0.02)
-        assert 4.0 - float(np.sum(np.cos(out - a))) < 1e-6
+    def test_linear_trace_sweep_reaches_the_frame_maximum(self):
+        # on the frame f = sum_m Re(e^{j phi_m} c_m), c_m = q_m^T conj(A) q_m,
+        # so the top of f over all phases is sum_m |c_m|
+        obj = LinearTrace(sym_matrix(43))
+        Fr = GeodesicFrame(QR=us_random(4, seed=3).Q, theta=np.zeros(4))
+        c = np.einsum("im,ij,jm->m", Fr.QR, obj.A.conj(), Fr.QR)
+        top = obj.eval(us_point_at(Fr, phase_sweep(obj, Fr, np.zeros(4))))
+        assert abs(top - np.sum(np.abs(c))) <= 1e-12 * np.sum(np.abs(c))
 
     def test_length_mismatch(self):
         Fr = GeodesicFrame(QR=np.eye(3, dtype=complex), theta=np.zeros(3))
@@ -318,9 +334,11 @@ class TestOptimizeUArmijo:
         from unisym.manifold import UPoint
         with pytest.raises(ValueError, match="unitary"):
             optimize_u_armijo(ConstantObjective(), UPoint(U=2 * np.eye(2, dtype=complex)))
-        # a NaN residual is not within DRIFT_TOL either
-        with pytest.raises(ValueError, match="off the manifold"):
-            optimize_u_armijo(ConstantObjective(), UPoint(U=np.full((2, 2), np.nan, dtype=complex)))
+        # a NaN residual is not within DRIFT_TOL either, and an infinite or
+        # huge factor is named as off the manifold, with no warning on the way
+        for bad in (np.nan, np.inf, 1e200):
+            with pytest.raises(ValueError, match="off the manifold"):
+                optimize_u_armijo(ConstantObjective(), UPoint(U=np.full((2, 2), bad, dtype=complex)))
 
     def test_drift_one_step_cannot_mend_raises(self, monkeypatch):
         import unisym.optimizer as opt

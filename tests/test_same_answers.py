@@ -1,6 +1,7 @@
 """tools/same_answers.py on a tiny spec: the working tree against itself
-is identical, and a changed rate is reported, row by row and per cell;
-its net line count of src/unisym is +0 against itself."""
+is identical, its one-ulp floor is reported, and a changed rate is
+reported, row by row and per cell; its net line count of src/unisym is +0
+against itself."""
 
 import csv
 import importlib.util
@@ -19,6 +20,16 @@ def test_working_tree_against_itself_then_a_changed_rate(tmp_path):
     # results.csv, summary.json and two traces for each iterative method
     assert same, lines
     assert lines[-1] == "6 of 6 files identical"
+    # the base's one-ulp floor: rho one ulp up moves this fast-converging
+    # spec's rates by roundoff only, at most a few ulps of ~10 bits
+    floor = [line for line in lines if line.startswith("  base's one-ulp floor: ")]
+    assert len(floor) == 1 and lines.index(floor[0]) == 1
+    assert float(floor[0].rsplit(" ", 1)[1]) <= 1e-13
+    # a floor run identical to the base reads 0, with no cell lines
+    _, lines = same_answers.compare_outputs(tmp_path / "base", tmp_path / "new", TINY,
+                                            tmp_path / "base")
+    assert lines[1] == "  base's one-ulp floor: max |d rate_bits| 0"
+    assert not any(line.startswith("  base's one-ulp floor, cell") for line in lines)
 
     path = tmp_path / "new" / "tiny" / "results.csv"
     with open(path, newline="") as fh:

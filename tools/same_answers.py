@@ -3,8 +3,8 @@
 
     python3 tools/same_answers.py <git-ref>
 
-Runs four fixed run specs through `unisym.harness.run_experiment` twice,
-each side in its own interpreter: once on the `src/` of a `git archive`
+Runs four fixed run specs through `unisym.harness.run_experiment` on two
+sides, each in its own interpreter: once on the `src/` of a `git archive`
 copy of <git-ref>, once on the working tree's `src/`. Each output file is
 compared byte for byte once its `wall_ms` column is dropped. The report
 names, per spec, the files that differ, the largest |delta rate_bits|,
@@ -12,9 +12,13 @@ each (method, M, trial) row whose rate_bits differ with its |delta|, the
 largest |delta| per method, for each (method, M) cell with a moved row
 the mean and the range of the per-trial differences (new minus base),
 the rows whose iteration counts differ and the error rows on either side.
-It also prints the net change in lines of `src/unisym/*.py`, new minus
-base. Exit status: 0 when every file is identical, 1 when any differs, 2 when
-the ref cannot be read or a side fails to run.
+Beside each spec's figures it prints the base's one-ulp floor: a third
+run, of the base with each spec's rho nudged one ulp up, gives the
+largest |delta rate_bits| and the per-cell range that so small a change
+of input already causes. It also prints the net change in lines of
+`src/unisym/*.py`, new minus base. Exit status: 0 when every file is
+identical, 1 when any differs, 2 when the ref cannot be read or a side
+fails to run.
 """
 
 from __future__ import annotations
@@ -41,17 +45,24 @@ SPECS = {
     "large": {"sweep": [128, 256], "trials": 3, "seed0": 11, "methods": ["mo_us"]},
 }
 
-# run in a fresh interpreter with PYTHONPATH=<src>: argv = src, out root, specs
+# run in a fresh interpreter with PYTHONPATH=<src>: argv = src, out root,
+# specs, and "ulp" to run each spec with its rho one ulp up
 _RUNNER = """
-import json, sys
+import json, math, sys
+from dataclasses import replace
 from pathlib import Path
+import numpy as np
 import unisym
 from unisym.harness import build_run_spec, run_experiment
 src, out = Path(sys.argv[1]).resolve(), Path(sys.argv[2])
 if Path(unisym.__file__).resolve().parent != src / "unisym":
     sys.exit(f"imported unisym from {unisym.__file__}, not from {src}")
 for name, values in json.loads(sys.argv[3]).items():
-    run_experiment(build_run_spec({**values, "output_dir": str(out / name)}))
+    spec = build_run_spec({**values, "output_dir": str(out / name)})
+    if sys.argv[4] == "ulp":
+        sc = spec.scenario
+        spec = replace(spec, scenario=replace(sc, rho=float(np.nextafter(sc.rho, math.inf))))
+    run_experiment(spec)
 """
 
 # one BLAS thread on both sides, as in the benchmark's own runs
@@ -60,16 +71,20 @@ _THREADS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
 
 
 def run_sides(base_src: Path, new_src: Path, specs: dict, workdir: Path) -> None:
-    """Run every spec on both sources at once, into workdir/base and workdir/new."""
+    """Run every spec on both sources at once, into workdir/base and
+    workdir/new, and on the base source with rho one ulp up, into
+    workdir/floor."""
     env = {**os.environ, **{v: "1" for v in _THREADS}}
     workdir = workdir.resolve()
     procs = []
-    for side, src in (("base", base_src.resolve()), ("new", new_src.resolve())):
-        cmd = [sys.executable, "-c", _RUNNER, str(src), str(workdir / side), json.dumps(specs)]
+    for side, src, nudge in (("base", base_src.resolve(), "-"), ("new", new_src.resolve(), "-"),
+                             ("floor", base_src.resolve(), "ulp")):
+        cmd = [sys.executable, "-c", _RUNNER, str(src), str(workdir / side), json.dumps(specs),
+               nudge]
         procs.append((side, subprocess.Popen(cmd, cwd=workdir, env={**env, "PYTHONPATH": str(src)},
                                              stderr=subprocess.PIPE, text=True)))
     failures = []
-    for side, proc in procs:    # wait for both before reporting either
+    for side, proc in procs:    # wait for all before reporting any
         _, err = proc.communicate()
         if proc.returncode != 0:
             failures.append(f"the {side} side failed:\n{err}")
@@ -105,9 +120,27 @@ def _results(out: Path) -> dict:
         return {(r["method"], r["M"], r["trial"]): r for r in csv.DictReader(fh)}
 
 
-def compare_outputs(base: Path, new: Path, names) -> tuple[bool, list[str]]:
+def _cell_deltas(rows_a: dict, rows_b: dict) -> dict:
+    """(method, M) -> new - base rate_bits per trial with a rate on both sides."""
+    cells = {}
+    for key in [k for k in rows_a if k in rows_b]:
+        d = float(rows_b[key]["rate_bits"]) - float(rows_a[key]["rate_bits"])
+        if not math.isnan(d):
+            cells.setdefault(key[:2], []).append(d)
+    return cells
+
+
+def _max_abs(cells: dict) -> float:
+    return max((abs(d) for ds in cells.values() for d in ds), default=0.0)
+
+
+def compare_outputs(base: Path, new: Path, names, floor: Path | None = None
+                    ) -> tuple[bool, list[str]]:
     """Compare the output directories base/<name> and new/<name> per spec
-    name: (every file identical, report lines)."""
+    name: (every file identical, report lines). floor, when given, holds
+    the outputs of the base source run with rho one ulp up; each spec then
+    also reports how far that nudge moves the base's rates, the noise
+    floor of its figures."""
     lines = []
     n_same = n_all = 0
     for name in names:
@@ -124,23 +157,27 @@ def compare_outputs(base: Path, new: Path, names) -> tuple[bool, list[str]]:
         n_same += len(files) - len(differ)
 
         rows_a, rows_b = _results(base / name), _results(new / name)
-        moved = []
-        per_method = {}     # method -> max |d rate_bits| over its rows
-        cells = {}          # (method, M) -> new - base rate_bits per trial with a rate
-        iters = []
+        cells = _cell_deltas(rows_a, rows_b)
+        moved, iters = [], []
         for key in [k for k in rows_a if k in rows_b]:
             ra, rb = rows_a[key], rows_b[key]
-            d = float(rb["rate_bits"]) - float(ra["rate_bits"])
-            if not math.isnan(d):
-                cells.setdefault(key[:2], []).append(d)
             if ra["rate_bits"] != rb["rate_bits"]:
+                d = float(rb["rate_bits"]) - float(ra["rate_bits"])
                 moved.append(f"{'/'.join(key)}: |d| {abs(d):.3g}")
-                if not math.isnan(d):
-                    per_method[key[0]] = max(per_method.get(key[0], 0.0), abs(d))
             if ra["iterations"] != rb["iterations"]:
                 iters.append(f"{'/'.join(key)}: {ra['iterations']} -> {rb['iterations']}")
+        per_method = {}     # method -> max |d rate_bits| over its moved rows
+        for (m, _), ds in cells.items():
+            if any(ds):
+                per_method[m] = max(per_method.get(m, 0.0), max(map(abs, ds)))
         lines.append(f"{name}: {len(files) - len(differ)} of {len(files)} files identical, "
-                     f"max |d rate_bits| {max(per_method.values(), default=0.0):.3g}")
+                     f"max |d rate_bits| {_max_abs(cells):.3g}")
+        if floor is not None:
+            nudged = _cell_deltas(rows_a, _results(floor / name))
+            lines.append(f"  base's one-ulp floor: max |d rate_bits| {_max_abs(nudged):.3g}")
+            lines += [f"  base's one-ulp floor, cell {m}/{M}: range {min(ds):+.3g} to "
+                      f"{max(ds):+.3g} over {len(ds)} trials"
+                      for (m, M), ds in nudged.items() if any(ds)]
         lines += [f"  differs: {f}" for f in differ]
         lines += [f"  rate differs: {s}" for s in moved]
         lines += [f"  max |d rate_bits| {m}: {d:.3g}" for m, d in per_method.items()]
@@ -164,7 +201,7 @@ def src_lines(src: Path) -> int:
 def compare(base_src: Path, new_src: Path, specs: dict, workdir: Path) -> tuple[bool, list[str]]:
     """Run specs on both sources under workdir and compare their outputs."""
     run_sides(base_src, new_src, specs, workdir)
-    return compare_outputs(workdir / "base", workdir / "new", specs)
+    return compare_outputs(workdir / "base", workdir / "new", specs, workdir / "floor")
 
 
 def main(argv=None) -> int:
