@@ -325,7 +325,11 @@ class RateObjective(Objective):
         FLAT_ALPHA / 2, with b = ||Hd||_F + sum_j ||u_j|| ||w_j||: b bounds
         ||C||_2 at any phases and E >= I, so _phase_step's |alpha| <=
         rho ||w|| ||C|| ||u|| is flat with room for roundoff, and its margin
-        check cannot fire. Generically at most 2 (nr + nt) axes are live.
+        check cannot fire. A frame of optimize_us has k = min(m,
+        4 min(nr, nt)) non-null axes; on nr = nt links F and G^* annihilate
+        every other axis to roundoff, so they are flat in every sweep. On
+        nr != nt links only the wider side's factor does (a ||w|| or ||u||
+        near 1e-20), and the bound can still clear FLAT_ALPHA / 2.
         A 2 rho b^2 past the float range raises NumericalError up front.
         """
         ch = self.channels

@@ -76,7 +76,8 @@ class GeodesicFrame:
 
     With R = V diag(theta) V^T, the frame stores QR = Q V and theta; the
     geodesic is U(mu) = QR diag(e^{j theta mu}) QR^T, reached through
-    us_point_at.
+    us_point_at. A frame keeps all n axes: one built on a span of k
+    columns (us_geodesic_frame) has theta = 0 on its n - k null axes.
     """
 
     QR: np.ndarray
@@ -176,15 +177,38 @@ def us_tangent_project(P: UsPoint, J: np.ndarray) -> TangentDirection:
     return TangentDirection(R=M.imag / 2.0)
 
 
-def us_geodesic_frame(P: UsPoint, D: TangentDirection) -> GeodesicFrame:
+def us_geodesic_frame(P: UsPoint, D: TangentDirection,
+                      span: np.ndarray | None = None) -> GeodesicFrame:
     """Eigendecompose the direction and return the frame of its geodesic.
 
     With D.R = V diag(theta) V^T, the geodesic from P along D is
     U(mu) = (Q V) diag(e^{j theta mu}) (Q V)^T.
+
+    span, when given, is a real n x c matrix whose columns span a space
+    that holds range(D.R), the caller's contract. With one complete real
+    QR [Z, Z_perp] of span, Z its first k = min(n, c) columns,
+    D.R = Z (Z^T D.R Z) Z^T, so only the k x k middle factor
+    W diag(lam) W^T is eigendecomposed: V = [Z W+, Z_perp, Z W-] and
+    theta = [lam+, 0, lam-], still descending (lam+ >= 0 > lam-). The frame
+    keeps all n axes. Without span this is the k = n case, Z = I, V = W.
     """
     if D.n != P.n:
         raise ValueError(f"direction dimension {D.n} != point dimension {P.n}")
-    V, theta = eig_real_symmetric(D.R)
+    R = D.R
+    if span is not None:
+        span = np.asarray(span)
+        if span.ndim != 2 or span.shape[0] != P.n or np.iscomplexobj(span):
+            raise ValueError(f"span must be a real matrix with {P.n} rows, got "
+                             f"{span.dtype} of shape {span.shape}")
+        Y = np.linalg.qr(span, mode="complete")[0]
+        k = min(P.n, span.shape[1])
+        Z = Y[:, :k]
+        R = Z.T @ R @ Z
+    V, theta = eig_real_symmetric(R)
+    if span is not None:
+        p = np.count_nonzero(theta >= 0.0)
+        V = np.hstack((Z @ V[:, :p], Y[:, k:], Z @ V[:, p:]))
+        theta = np.concatenate((theta[:p], np.zeros(P.n - k), theta[p:]))
     return GeodesicFrame(QR=P.Q @ V, theta=theta)
 
 

@@ -7,7 +7,9 @@ objective's factors, tangent projection to get the real symmetric
 direction R, eigendecompose R to open a geodesic frame, seed the frame
 phases with the gradient-step values, let the objective's sweep maximize
 over each phase one coordinate at a time, then move with the
-multiplicative factor update. No step size is ever chosen.
+multiplicative factor update. No step size is ever chosen. R lies in the
+real span of Q^H A and Q^T B, so the frame takes a k x k eigh on that
+span, k = min(n, 4 r) for factors of width r, not an n x n one.
 """
 
 from __future__ import annotations
@@ -80,7 +82,8 @@ class IterationRecord:
     value: float        # objective, nats
     grad_norm: float    # ||R||_F (or ||S||_F on U(n)); nan for the k=0 row
     wall_ms: float      # whole-iteration wall time
-    # optimize_us: gradient + projection + eigendecomposition + update;
+    # optimize_us: gradient + projection + frame (span QR, k x k
+    # eigendecomposition, Q V) + update;
     # optimize_u_armijo: the whole step (frame, line search, drift check)
     core_ms: float
     residual: float     # manifold residual of the iterate
@@ -178,7 +181,10 @@ def _us_step(obj: Objective, P: UsPoint, F: float):
     A, B = obj.grad_factors(P)
     D = us_tangent_project(P, A @ B.conj().T)
     grad_norm = D.norm()
-    Fr = us_geodesic_frame(P, D)
+    # R = Im(a b^H + conj(b) a^T) / 2 with a = Q^H A, b = Q^T B, so range(R)
+    # lies in the real span of a and b: 4 r columns for factors of width r
+    a, b = P.Q.conj().T @ A, P.Q.T @ B
+    Fr = us_geodesic_frame(P, D, span=np.hstack((a.real, a.imag, b.real, b.imag)))
     core_s = time.perf_counter() - t_start
     # the gradient-step seed first; if it overshoots, redo from the current point
     for theta in (np.mod(Fr.theta + np.pi, 2.0 * np.pi) - np.pi, np.zeros(Fr.n)):
@@ -197,13 +203,14 @@ def optimize_us(obj: Objective, U0: UsPoint,
     """Ascent on the unitary-symmetric manifold without step-size tuning.
 
     Per iteration: the gradient J = A B^H from obj.grad_factors, projected
-    to R; the geodesic frame of R; one obj.sweep seeded with the frame's
-    own gradient-step phases; and the new point with its multiplicatively
-    updated factor. The seeded pass can in principle end below the current
-    value; when that happens the sweep is redone from the all-zeros phase
-    vector, which reproduces the current point and therefore cannot lose
-    ground. Stops when |F_k - F_{k-1}| < epsilon or at max_iters; a move
-    that the redone pass still ends below (roundoff) is refused: "stalled".
+    to R; the geodesic frame of R, built on the gradient's span; one
+    obj.sweep seeded with the frame's own gradient-step phases; and the new
+    point with its multiplicatively updated factor. The seeded pass can in
+    principle end below the current value; when that happens the sweep is
+    redone from the all-zeros phase vector, which reproduces the current
+    point and therefore cannot lose ground. Stops when |F_k - F_{k-1}| <
+    epsilon or at max_iters; a move that the redone pass still ends below
+    (roundoff) is refused: "stalled".
 
     Returns the final point and a per-iteration trace with monotone values.
     """

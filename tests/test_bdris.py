@@ -8,6 +8,7 @@ with bracketed refinement for the per-phase closed form.
 
 import cmath
 import math
+import re
 import warnings
 from collections import Counter
 
@@ -38,11 +39,13 @@ from unisym.harness import METHODS
 from unisym.linalg import NumericalError, expm_skew_hermitian
 from unisym.manifold import (
     GeodesicFrame,
+    TangentDirection,
     u_geodesic_frame,
     u_point_at,
     u_random,
     u_tangent_project,
     us_geodesic_frame,
+    us_point_at,
     us_random,
     us_retract,
     us_tangent_project,
@@ -765,6 +768,71 @@ class TestFlatAxes:
             RateObjective(ch, rho).sweep(Fr, theta0.copy())
             counts.append(len(visited))
         assert counts[0] == counts[1] <= 2 * (4 + 4), counts
+
+    @pytest.mark.parametrize("M", [32, 64])
+    def test_no_sweep_of_a_whole_run_solves_a_null_axis(self, monkeypatch, M):
+        # the frame of R has min(M, 4 min(nr, nt)) non-null axes, and on a
+        # 4x4 link F and G^* annihilate the rest, late sweeps included
+        import unisym.bdris
+        counts = []
+
+        def counting(*args):
+            counts[-1] += 1
+            return _phase_step(*args)
+
+        sweep = RateObjective._sweep
+
+        def opening(self, *args):
+            counts.append(0)
+            return sweep(self, *args)
+
+        monkeypatch.setattr(unisym.bdris, "_phase_step", counting)
+        monkeypatch.setattr(RateObjective, "_sweep", opening)
+        sc = Scenario(m=M, direct_blocked=True)
+        for s in range(12):
+            ch = gen_channels(sc, seed=s)
+            optimize_us(RateObjective(ch, sc.rho), us_random(M, seed=100 + s))
+        assert len(counts) > 12 * 2
+        assert max(counts) <= min(M, 4 * 4), Counter(counts)
+
+
+def gradient_span(P, A, B):
+    """The real span [Re a, Im a, Re b, Im b] of a = Q^H A and b = Q^T B,
+    which holds the range of the projected gradient of J = A B^H at P."""
+    a, b = P.Q.conj().T @ A, P.Q.T @ B
+    return np.hstack((a.real, a.imag, b.real, b.imag))
+
+
+class TestSpanFrame:
+    @pytest.mark.parametrize("nr, nt", [(4, 4), (8, 2), (2, 8)])
+    @pytest.mark.parametrize("blocked", [False, True])
+    def test_span_frame_is_the_full_frame(self, nr, nt, blocked):
+        for m in (1, 3, 16, 64):
+            sc = Scenario(nr=nr, nt=nt, m=m, direct_blocked=blocked)
+            ch = gen_channels(sc, seed=m + 10 * nr)
+            P = us_random(m, seed=m + 1)
+            A, B = RateObjective(ch, sc.rho).grad_factors(P)
+            D = us_tangent_project(P, A @ B.conj().T)
+            full = us_geodesic_frame(P, D)
+            span = us_geodesic_frame(P, D, span=gradient_span(P, A, B))
+            case = (nr, nt, m, blocked)
+            assert np.all(np.diff(span.theta) <= 0.0), case
+            np.testing.assert_allclose(np.sort(span.theta), np.sort(full.theta),
+                                       rtol=0.0, atol=1e-12 * D.norm(), err_msg=str(case))
+            for mu in (0.1, 0.5, 1.0):
+                np.testing.assert_allclose(us_point_at(span, mu * span.theta).U,
+                                           us_point_at(full, mu * full.theta).U,
+                                           rtol=0.0, atol=1e-12, err_msg=str((case, mu)))
+            # the null axes beyond the span's 4 min(nr, nt) columns are exact zeros
+            assert np.count_nonzero(span.theta) <= min(m, 4 * min(nr, nt)), case
+
+    def test_span_of_the_wrong_shape_is_refused(self):
+        P = us_random(5, seed=3)
+        D = TangentDirection(R=np.eye(5))
+        for span in (np.ones((4, 8)), np.ones(5), np.ones((5, 2), dtype=complex)):
+            shown = f"span must be a real matrix with 5 rows, got {span.dtype} of shape {span.shape}"
+            with pytest.raises(ValueError, match=re.escape(shown)):
+                us_geodesic_frame(P, D, span=span)
 
 
 class TestLowCost:

@@ -1,0 +1,46 @@
+"""tools/gate8_ratio.py: one bench run per side and call, interleaved, on
+a small spec, the per-side summary line, and exit status 2 for a ref that
+git cannot read."""
+
+import math
+import shutil
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+sys.path.insert(0, str(ROOT / "tools"))    # gate8_ratio imports same_answers
+
+import gate8_ratio  # noqa: E402
+
+
+def test_interleaved_runs_give_a_ratio_per_side_and_run(monkeypatch, tmp_path):
+    # side b is a copy of the package, so the order of the runs shows
+    copy = tmp_path / "src"
+    shutil.copytree(ROOT / "src" / "unisym", copy / "unisym")
+    calls = []
+    ratio = gate8_ratio.ratio
+
+    def recording(src, values):
+        calls.append(src)
+        return ratio(src, values)
+
+    monkeypatch.setattr(gate8_ratio, "ratio", recording)
+    src = ROOT / "src"
+    tiny = {"sweep": [2, 4], "trials": 1, "methods": ["mo_us"], "max_iters": 3}
+    out = gate8_ratio.interleaved({"a": src, "b": copy}, 2, tiny)
+    assert list(out) == ["a", "b"]
+    assert all(len(rs) == 2 and all(math.isfinite(r) and r > 0 for r in rs)
+               for rs in out.values())
+    assert calls == [src, copy, copy, src]
+
+
+def test_summary_line():
+    line = gate8_ratio.summary("parent", [2.0, 3.0, 4.0, 5.0, 6.0])
+    assert line == ("parent: 5 runs, min 2.00, quartiles 3.00-5.00, median 4.00, "
+                    "max 6.00; 1 below 3.0")
+    assert gate8_ratio.summary("x", [3.5]).endswith("; 0 below 3.0")
+
+
+def test_unreadable_ref_exits_2(capsys):
+    assert gate8_ratio.main(["no-such-ref-for-gate8", "--runs", "1"]) == 2
+    assert capsys.readouterr().err.startswith("error: ")

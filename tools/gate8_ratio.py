@@ -1,0 +1,108 @@
+#!/usr/bin/env python3
+"""Gate 8's 128/64 time ratio on a git ref and on the working tree.
+
+    python3 tools/gate8_ratio.py <git-ref> [--runs N]
+
+Gate 8 (`tests/test_acceptance.py`, criterion 8) times `mo_us` through
+`unisym.harness.bench` with sweep [64, 128] and 5 trials, and asks that
+the ratio of the two cells' `median_iter_ms` lie between 3 and 16. This
+script runs that same `bench` call N times (16 by default) on each of two
+sides: on the `src/` of a `git archive` copy of <git-ref>, and on the
+working tree's `src/`. Each run is a fresh interpreter with one BLAS
+thread, and the runs interleave, the side that goes first alternating
+from run to run. Per side it prints the ratios in run order, then their
+min, quartiles, median and max, and how many fell below 3.0. The gate
+itself is not run. Exit status: 0, or 2 when the ref cannot be read or a
+run fails.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+import numpy as np
+
+from same_answers import _THREADS, ROOT, archive_src
+
+# the run-spec values of gate 8's bench call; output_dir is set per run
+GATE8 = {"sweep": [64, 128], "trials": 5, "methods": ["mo_us"]}
+FLOOR = 3.0     # gate 8's lower bound on the ratio
+
+# run in a fresh interpreter with PYTHONPATH=<src>: argv = src, spec values;
+# prints the last cell's median_iter_ms over the first's
+_RUNNER = """
+import json, sys, tempfile
+from pathlib import Path
+import unisym
+from unisym.harness import bench, build_run_spec
+src = Path(sys.argv[1])
+if Path(unisym.__file__).resolve().parent != src / "unisym":
+    sys.exit(f"imported unisym from {unisym.__file__}, not from {src}")
+with tempfile.TemporaryDirectory() as out:
+    rows, _ = bench(build_run_spec({**json.loads(sys.argv[2]), "output_dir": out}))
+print(repr(rows[-1].median_iter_ms / rows[0].median_iter_ms))
+"""
+
+
+def ratio(src: Path, values: dict) -> float:
+    """One `bench` run of the spec values on the package under src: the
+    last cell's median_iter_ms over the first's. RuntimeError if it fails."""
+    src = src.resolve()
+    env = {**os.environ, **{v: "1" for v in _THREADS}, "PYTHONPATH": str(src)}
+    with tempfile.TemporaryDirectory() as cwd:
+        proc = subprocess.run([sys.executable, "-c", _RUNNER, str(src), json.dumps(values)],
+                              cwd=cwd, env=env, capture_output=True, text=True)
+    if proc.returncode != 0:
+        raise RuntimeError(f"bench on {src} failed:\n{proc.stderr}")
+    return float(proc.stdout)
+
+
+def interleaved(sides: dict, runs: int, values: dict) -> dict:
+    """name -> the ratios of `runs` runs of each side's src, in run order;
+    the first side goes first in even runs, last in odd ones."""
+    out = {name: [] for name in sides}
+    order = list(sides)
+    for i in range(runs):
+        for name in order if i % 2 == 0 else order[::-1]:
+            out[name].append(ratio(sides[name], values))
+    return out
+
+
+def summary(name: str, ratios: list[float]) -> str:
+    """One line: the min, quartiles, median and max of the ratios, and how
+    many fell below FLOOR."""
+    lo, q1, med, q3, hi = np.percentile(ratios, [0, 25, 50, 75, 100])
+    below = sum(r < FLOOR for r in ratios)
+    return (f"{name}: {len(ratios)} runs, min {lo:.2f}, quartiles {q1:.2f}-{q3:.2f}, "
+            f"median {med:.2f}, max {hi:.2f}; {below} below {FLOOR}")
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("ref", help="git ref to compare the working tree with")
+    parser.add_argument("--runs", type=int, default=16, help="runs per side (default 16)")
+    args = parser.parse_args(argv)
+    if args.runs < 1:
+        parser.error("--runs must be at least 1")
+    with tempfile.TemporaryDirectory() as tmp:
+        try:
+            sides = {args.ref: archive_src(args.ref, Path(tmp)), "working tree": ROOT / "src"}
+            ratios = interleaved(sides, args.runs, GATE8)
+        except RuntimeError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
+    for name, rs in ratios.items():
+        print(f"{name}: " + " ".join(f"{r:.2f}" for r in rs))
+    for name, rs in ratios.items():
+        print(summary(name, rs))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -204,20 +204,31 @@ def compare(base_src: Path, new_src: Path, specs: dict, workdir: Path) -> tuple[
     return compare_outputs(workdir / "base", workdir / "new", specs, workdir / "floor")
 
 
+def archive_src(ref: str, dest: Path) -> Path:
+    """Extract the src/ tree of the git ref under dest, by `git archive`,
+    and return its path; RuntimeError with git's message when the ref
+    cannot be read."""
+    archive = subprocess.run(["git", "-C", str(ROOT), "archive", "--format=tar", ref, "src"],
+                             capture_output=True)
+    if archive.returncode != 0:
+        raise RuntimeError(archive.stderr.decode().strip())
+    with tarfile.open(fileobj=io.BytesIO(archive.stdout)) as tar:
+        tar.extractall(dest, filter="data")
+    return dest / "src"
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("ref", help="git ref to compare the working tree with")
     args = parser.parse_args(argv)
     with tempfile.TemporaryDirectory() as tmp:
         workdir = Path(tmp)
-        archive = subprocess.run(["git", "-C", str(ROOT), "archive", "--format=tar",
-                                  args.ref, "src"], capture_output=True)
-        if archive.returncode != 0:
-            print(f"error: {archive.stderr.decode().strip()}", file=sys.stderr)
+        try:
+            base_src = archive_src(args.ref, workdir / "ref")
+        except RuntimeError as exc:
+            print(f"error: {exc}", file=sys.stderr)
             return 2
-        with tarfile.open(fileobj=io.BytesIO(archive.stdout)) as tar:
-            tar.extractall(workdir / "ref", filter="data")
-        base_src, new_src = workdir / "ref" / "src", ROOT / "src"
+        new_src = ROOT / "src"
         try:
             same, lines = compare(base_src, new_src, SPECS, workdir)
         except RuntimeError as exc:
