@@ -7,7 +7,10 @@ Q is. The factor makes tangent projection, geodesics, and the
 multiplicative phase update cheap: iterative callers update Q instead of
 re-factorizing U each step. Whether a factor is still unitary is decided
 by the drift rule of `linalg` (DRIFT_TOL and one residual, re-exported
-here), which the optimizers apply to every candidate point.
+here), which the optimizers apply to every candidate point. A point made
+by a frame step carries an upper bound on that residual, from its
+parent's residual and the frame's small factors, so that it needs no
+m x m Gram to pass the rule; a point with no step history is measured.
 
 The few operations on the plain unitary manifold needed by the projection
 baseline (tangent projection and geodesic steps on U(n)) live here too;
@@ -16,20 +19,40 @@ its ascent steps along geodesics of a low-rank frame (u_geodesic_frame).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import cached_property
+import math
+from dataclasses import dataclass, field
+from functools import cached_property, partial
+from typing import Callable
 
 import numpy as np
 
-from .linalg import (DRIFT_TOL, _check_count, _unitarity_residual, eig_real_symmetric,
-                     expm_skew_hermitian, takagi)
+from .linalg import (DRIFT_TOL, _UNIT_ROUNDOFF, _check_count, _gamma, _gram_bound, _gram_defect,
+                     _step_bound, _unitarity_residual, eig_real_symmetric, expm_skew_hermitian,
+                     takagi)
+
+# relative roundoff of the few flops per entry of an elementwise complex
+# product or squared modulus: sqrt(2) gamma_4
+_GAMMA_ENTRY = _gamma(2)
+
+
+def _carried_or_measured(bound: Callable[[], float] | None, A: np.ndarray) -> float:
+    """The carried bound when it is within DRIFT_TOL (NaN never is), else
+    the measured ||A A^H - I||_F."""
+    b = math.nan if bound is None else bound()
+    return b if b <= DRIFT_TOL else _unitarity_residual(A)
 
 
 @dataclass(frozen=True, eq=False)
 class UsPoint:
-    """A unitary symmetric matrix stored by its unitary factor Q, U = Q Q^T."""
+    """A unitary symmetric matrix stored by its unitary factor Q, U = Q Q^T.
+
+    bound, when the point was made by a frame step (us_point_at), computes
+    an upper bound on ||Q Q^H - I||_F from that step; it is None for a
+    point with no step history.
+    """
 
     Q: np.ndarray
+    bound: Callable[[], float] | None = field(default=None, repr=False)
 
     @cached_property
     def U(self) -> np.ndarray:
@@ -39,10 +62,16 @@ class UsPoint:
     def n(self) -> int:
         return self.Q.shape[0]
 
+    @cached_property
+    def _residual(self) -> float:
+        return _carried_or_measured(self.bound, self.Q)
+
     def max_residual(self) -> float:
-        """||Q Q^H - I||_F; U = Q Q^T is symmetric by construction and
-        unitary whenever Q is."""
-        return _unitarity_residual(self.Q)
+        """An upper bound on ||Q Q^H - I||_F, worked out once: the carried
+        bound when it is within DRIFT_TOL, else the measured residual (always
+        for a point with no step history). U = Q Q^T is symmetric by
+        construction and unitary whenever Q is."""
+        return self._residual
 
 
 @dataclass(frozen=True, eq=False)
@@ -78,10 +107,13 @@ class GeodesicFrame:
     geodesic is U(mu) = QR diag(e^{j theta mu}) QR^T, reached through
     us_point_at. A frame keeps all n axes: one built on a span of k
     columns (us_geodesic_frame) has theta = 0 on its n - k null axes.
+    residual is an upper bound on ||QR QR^H - I||_F; NaN, as for a frame
+    built by hand, leaves every point of the frame to be measured.
     """
 
     QR: np.ndarray
     theta: np.ndarray
+    residual: float = math.nan
 
     @property
     def n(self) -> int:
@@ -100,13 +132,20 @@ class GeodesicFrame:
 
 @dataclass(frozen=True, eq=False)
 class UPoint:
-    """A point of the plain unitary manifold U(n)."""
+    """A point of the plain unitary manifold U(n); bound as for UsPoint,
+    from u_point_at."""
 
     U: np.ndarray
+    bound: Callable[[], float] | None = field(default=None, repr=False)
+
+    @cached_property
+    def _residual(self) -> float:
+        return _carried_or_measured(self.bound, self.U)
 
     def max_residual(self) -> float:
-        """||U U^H - I||_F."""
-        return _unitarity_residual(self.U)
+        """An upper bound on ||U U^H - I||_F, worked out once: the carried
+        bound when it is within DRIFT_TOL, else the measured residual."""
+        return self._residual
 
 
 @dataclass(frozen=True, eq=False)
@@ -117,7 +156,9 @@ class UGeodesicFrame:
     With S = Z S_k Z^H and
     -j S_k = W diag(d) W^H, the frame stores U, V = Z W, UV = U V and d;
     the geodesic is U + UV diag(e^{j t d} - 1) V^H, reached through
-    u_point_at. norm is ||S||_F.
+    u_point_at. norm is ||S||_F. residual and defect are upper bounds on
+    ||U U^H - I||_F and ||V^H V - I||_F; NaN, as for a frame built by
+    hand, leaves every point of the frame to be measured.
     """
 
     U: np.ndarray
@@ -125,6 +166,8 @@ class UGeodesicFrame:
     V: np.ndarray
     d: np.ndarray
     norm: float
+    residual: float = math.nan
+    defect: float = math.nan
 
 
 def as_matrix(point) -> np.ndarray:
@@ -209,16 +252,37 @@ def us_geodesic_frame(P: UsPoint, D: TangentDirection,
         p = np.count_nonzero(theta >= 0.0)
         V = np.hstack((Z @ V[:, :p], Y[:, k:], Z @ V[:, p:]))
         theta = np.concatenate((theta[:p], np.zeros(P.n - k), theta[p:]))
-    return GeodesicFrame(QR=P.Q @ V, theta=theta)
+    # QR = fl(Q V) = Q V + E, ||E||_F <= _gamma(n) ||Q||_F ||V||_F, with
+    # ||Q||_F^2 <= n (1 + r(Q)); r(V) from the real Gram V^T V
+    n = P.n
+    r_q, r_v = _gram_bound(P.max_residual(), n, n), _gram_defect(V)
+    delta = _gamma(n) * n * math.sqrt((1.0 + r_q) * (1.0 + r_v))
+    return GeodesicFrame(QR=P.Q @ V, theta=theta, residual=_step_bound(r_q, r_v, delta, n))
+
+
+def _us_point_bound(r: float, z: np.ndarray) -> float:
+    """Upper bound on the residual of fl(QR diag(z)) for a frame factor QR
+    with residual at most r: r(diag(z)) = || |z|^2 - 1 ||_2, whose computed
+    entries are off by at most 3 _GAMMA_ENTRY, and each product QR_ij z_j
+    is off by a relative _GAMMA_ENTRY."""
+    n = z.size
+    d = np.abs(z)
+    d *= d
+    d -= 1.0
+    r_z = math.sqrt(d.dot(d)) + 3.0 * _GAMMA_ENTRY * math.sqrt(n)
+    delta = _GAMMA_ENTRY * math.sqrt(n * (1.0 + r) * (1.0 + r_z))
+    return _step_bound(r, r_z, delta, n)
 
 
 def us_point_at(Fr: GeodesicFrame, phases: np.ndarray) -> UsPoint:
     """Point of Us at the given per-axis phases in a geodesic frame.
 
     U = QR diag(e^{j phi}) QR^T, with the cached factor updated
-    multiplicatively as Q = QR diag(e^{j phi / 2}).
+    multiplicatively as Q = QR diag(e^{j phi / 2}). The point carries a
+    bound on its residual from the frame's, worked out when asked for.
     """
-    return UsPoint(Q=Fr.QR * np.exp(0.5j * Fr.phases(phases))[np.newaxis, :])
+    z = np.exp(0.5j * Fr.phases(phases))
+    return UsPoint(Q=Fr.QR * z[np.newaxis, :], bound=partial(_us_point_bound, Fr.residual, z))
 
 
 def us_retract(A: np.ndarray) -> UsPoint:
@@ -265,9 +329,45 @@ def u_geodesic_frame(P: UPoint, A: np.ndarray, B: np.ndarray) -> UGeodesicFrame:
     Sk = (X - X.conj().T) / 2.0
     d, W = np.linalg.eigh(-1j * Sk)
     V = Z @ W
-    return UGeodesicFrame(U=P.U, UV=P.U @ V, V=V, d=d, norm=float(np.linalg.norm(Sk)))
+    n = P.U.shape[0]
+    return UGeodesicFrame(U=P.U, UV=P.U @ V, V=V, d=d, norm=float(np.linalg.norm(Sk)),
+                          residual=_gram_bound(P.max_residual(), n, n), defect=_gram_defect(V))
+
+
+def _u_point_bound(r: float, defect: float, n: int, e: np.ndarray) -> float:
+    """Upper bound on the residual of fl(U + fl(fl(UV * e) V^H)) for U
+    with residual at most r and an n x k V with ||V^H V - I||_F <= defect.
+
+    The exact point is U G, G = I + V diag(e) V^H, and
+    G G^H - I = V [diag(2 Re e + |e|^2) + diag(e) (V^H V - I) diag(conj e)] V^H,
+    so r(G) <= ||V||_2^2 (||2 Re e + |e|^2||_2 + max|e|^2 defect). Delta
+    gathers the roundoff of UV (length n), of the scaling by e, of the
+    length-k product and of the sum; _gamma(n) covers each, as k <= n.
+    """
+    k = e.size
+    c = _gamma(n)
+    a = np.abs(e)
+    eps = float(a.max())                       # max |e|
+    a *= a
+    a += 2.0 * e.real                          # 2 Re e + |e|^2, off by gamma_4 (2|e| + |e|^2)
+    s = math.sqrt(a.dot(a)) + c * math.sqrt(k) * eps * (2.0 + eps)
+    v2 = 1.0 + defect                          # ||V||_2^2
+    vf = math.sqrt(k * v2)                     # ||V||_F
+    uf = math.sqrt(n * (1.0 + r))              # ||U||_F
+    e1 = c * uf * vf                           # UV
+    uv = math.sqrt(1.0 + r) * vf + e1          # ||UV||_F
+    e2 = c * uv * eps                          # UV * e
+    t = uv * eps + e2
+    e3 = c * t * vf                            # (UV * e) V^H
+    e4 = _UNIT_ROUNDOFF * (uf + t * math.sqrt(v2) + e3)    # U + ...
+    delta = (e1 * eps + e2) * math.sqrt(v2) + e3 + e4
+    return _step_bound(r, v2 * (s + eps * eps * defect), delta, n)
 
 
 def u_point_at(Fr: UGeodesicFrame, t: float) -> UPoint:
-    """The point U exp(tS) of the frame's geodesic at step length t."""
-    return UPoint(U=Fr.U + (Fr.UV * (np.exp(1j * t * Fr.d) - 1.0)) @ Fr.V.conj().T)
+    """The point U exp(tS) of the frame's geodesic at step length t. It
+    carries a bound on its residual from the frame's, worked out when
+    asked for."""
+    e = np.exp(1j * t * Fr.d) - 1.0
+    return UPoint(U=Fr.U + (Fr.UV * e) @ Fr.V.conj().T,
+                  bound=partial(_u_point_bound, Fr.residual, Fr.defect, Fr.U.shape[0], e))

@@ -83,10 +83,13 @@ class IterationRecord:
     grad_norm: float    # ||R||_F (or ||S||_F on U(n)); nan for the k=0 row
     wall_ms: float      # whole-iteration wall time
     # optimize_us: gradient + projection + frame (span QR, k x k
-    # eigendecomposition, Q V) + update;
+    # eigendecomposition, Q V, the real Gram V^T V) + update;
     # optimize_u_armijo: the whole step (frame, line search, drift check)
     core_ms: float
-    residual: float     # manifold residual of the iterate
+    # certified upper bound on the iterate's ||Q Q^H - I||_F (||U U^H - I||_F
+    # on U(n)), carried from its parent; measured where that bound is not
+    # within DRIFT_TOL, and for the start point or a repaired one
+    residual: float
 
 
 @dataclass

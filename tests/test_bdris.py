@@ -9,6 +9,7 @@ with bracketed refinement for the per-phase closed form.
 import cmath
 import math
 import re
+import sys
 import warnings
 from collections import Counter
 
@@ -36,10 +37,12 @@ from unisym.bdris import (
     rate_bits,
 )
 from unisym.harness import METHODS
-from unisym.linalg import NumericalError, expm_skew_hermitian
+import unisym.linalg
+from unisym.linalg import DRIFT_TOL, NumericalError, expm_skew_hermitian
 from unisym.manifold import (
     GeodesicFrame,
     TangentDirection,
+    UsPoint,
     u_geodesic_frame,
     u_point_at,
     u_random,
@@ -972,6 +975,94 @@ class TestMoUProjBaseline:
         assert trace.iterations >= 2
         assert not expm_calls
         assert eigh_shapes and all(max(s) <= 8 for s in eigh_shapes)
+
+
+def factor(P):
+    """The unitary factor whose residual P.max_residual() bounds."""
+    return P.Q if isinstance(P, UsPoint) else P.U
+
+
+def settled_points(monkeypatch):
+    """The list of every point that optimizer._settle returns from here on."""
+    import unisym.optimizer as opt
+    points, real = [], opt._settle
+
+    def settle(obj, cand, value=None):
+        found = real(obj, cand, value)
+        points.append(found[0])
+        return found
+
+    monkeypatch.setattr(opt, "_settle", settle)
+    return points
+
+
+def check_carried_bounds(points):
+    """The largest carried bound of the settled points that carry one,
+    after checking that each is at least the point's measured residual
+    and within DRIFT_TOL (so no point was measured)."""
+    largest = 0.0
+    for P in points:
+        if P.bound is None:     # the start point, measured
+            continue
+        bound = P.bound()
+        measured = unisym.linalg._unitarity_residual(factor(P))
+        assert measured <= bound <= DRIFT_TOL, (measured, bound)
+        largest = max(largest, bound)
+    return largest
+
+
+class TestCarriedResidual:
+    """Every point a frame step settles carries a bound on its residual
+    ||Q Q^H - I||_F that is certified, so at least the measured residual,
+    and on these runs within DRIFT_TOL, so that no step measures one."""
+
+    @pytest.mark.parametrize("nr, nt", [(4, 4), (8, 2), (2, 8)])
+    @pytest.mark.parametrize("blocked", [False, True])
+    def test_the_bound_holds_on_every_settled_point(self, monkeypatch, nr, nt, blocked):
+        points = settled_points(monkeypatch)
+        cfg = OptimizerConfig(epsilon=1e-9, max_iters=100)
+        largest = 0.0
+        for m in (1, 3, 16, 64):
+            sc = Scenario(nr=nr, nt=nt, m=m, direct_blocked=blocked)
+            obj = RateObjective(gen_channels(sc, seed=m), sc.rho)
+            for run, P0 in ((optimize_us, us_random(m, seed=m)), (optimize_u_armijo, u_random(m, seed=m))):
+                points.clear()
+                run(obj, P0, cfg)
+                largest = max(largest, check_carried_bounds(points))
+        # measured: at most 2.7e-10 (blocked 4 x 4, m = 64, mo_us after 100
+        # iterations) over 2,920 points, each measuring at most 0.45 x its
+        # bound; a much looser bound would send long runs back to measuring
+        assert largest <= 1e-9
+
+    def test_the_bound_holds_at_m_256(self, monkeypatch):
+        points = settled_points(monkeypatch)
+        sc = Scenario(m=256)
+        obj = RateObjective(gen_channels(sc, seed=3), sc.rho)
+        _, trace = optimize_us(obj, us_random(256, seed=4), OptimizerConfig(epsilon=1e-9))
+        assert trace.iterations >= 20
+        # measured: 1.7e-9 after 42 iterations, growing about 4e-11 per step
+        assert check_carried_bounds(points) <= 4e-9
+
+    def test_a_run_measures_its_start_point_only(self, monkeypatch):
+        # a desk-size run of either optimizer makes one exact residual
+        # measurement, of its start point; every later point passes the
+        # drift rule on its carried bound
+        calls, real = [], unisym.linalg._unitarity_residual
+
+        def counted(A):
+            calls.append(A)
+            return real(A)
+
+        for mod in [m for name, m in sys.modules.items() if name.split(".")[0] == "unisym"]:
+            if getattr(mod, "_unitarity_residual", None) is real:
+                monkeypatch.setattr(mod, "_unitarity_residual", counted)
+        sc = Scenario(m=64)
+        obj = RateObjective(gen_channels(sc, seed=3), sc.rho)
+        for run, P0 in ((optimize_us, us_random(64, seed=3)), (optimize_u_armijo, u_random(64, seed=3))):
+            calls.clear()
+            _, trace = run(obj, P0)
+            assert trace.iterations >= 3
+            assert len(calls) == 1 and calls[0] is factor(P0)
 
 
 class TestStationarity:

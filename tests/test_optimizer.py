@@ -8,6 +8,7 @@ oracle.
 
 import ast
 import importlib
+import math
 import os
 import subprocess
 import sys
@@ -17,13 +18,18 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from unisym.linalg import NumericalError
+from unisym.linalg import DRIFT_TOL, NumericalError, _unitarity_residual
 from unisym.manifold import (
     GeodesicFrame,
+    TangentDirection,
+    UGeodesicFrame,
     UPoint,
     UsPoint,
     as_matrix,
+    u_geodesic_frame,
+    u_point_at,
     u_random,
+    us_geodesic_frame,
     us_point_at,
     us_random,
 )
@@ -31,6 +37,7 @@ from unisym.optimizer import (
     IterationTrace,
     Objective,
     OptimizerConfig,
+    _settle,
     optimize_u_armijo,
     optimize_us,
     phase_sweep,
@@ -347,6 +354,77 @@ class TestOptimizeUArmijo:
                             lambda Fr, t: UPoint(U=exact(Fr, t).U * (1 + 1e-2)))
         with pytest.raises(NumericalError, match="candidate point lost unitarity"):
             optimize_u_armijo(LinearTrace(sym_matrix(29)), u_random(4, seed=13))
+
+
+def near_tolerance(A):
+    """A unitary A scaled by 1 + delta, so that its residual
+    sqrt(n) ((1 + delta)^2 - 1) is 1e-13 under DRIFT_TOL: far above the
+    roundoff of measuring it, and below what one step's bound adds."""
+    delta = math.sqrt(1.0 + (DRIFT_TOL - 1e-13) / math.sqrt(A.shape[0])) - 1.0
+    return A * (1.0 + delta)
+
+
+def counted(monkeypatch, module, name):
+    """The list of argument tuples of every call to module.name from here on."""
+    calls, real = [], getattr(module, name)
+    monkeypatch.setattr(module, name, lambda *args: calls.append(args) or real(*args))
+    return calls
+
+
+class TestCarriedResidual:
+    """A frame step's point carries a bound on its residual; the drift rule
+    measures the residual only where that bound is not within DRIFT_TOL."""
+
+    def test_a_bound_past_the_tolerance_falls_back_to_the_measurement(self, monkeypatch):
+        # the start measures 1e-13 under DRIFT_TOL; one step's bound goes
+        # over, so the candidate is measured, and since the measurement is
+        # within DRIFT_TOL no repair fires
+        import unisym.optimizer as opt
+        repairs = counted(monkeypatch, opt, "_restore_unitary")
+        obj = LinearTrace(sym_matrix(47, n=64))
+        cfg = OptimizerConfig(epsilon=1e-9, max_iters=1)
+        for run, P0 in ((optimize_us, UsPoint(Q=near_tolerance(us_random(64, seed=7).Q))),
+                        (optimize_u_armijo, UPoint(U=near_tolerance(u_random(64, seed=7).U)))):
+            assert P0.max_residual() <= DRIFT_TOL
+            P, tr = run(obj, P0, cfg)
+            assert P is not P0 and tr.final_value > tr.values[0]
+            measured = _unitarity_residual(as_matrix(P) if run is optimize_u_armijo else P.Q)
+            assert P.bound() > DRIFT_TOL
+            assert P.max_residual() == measured <= DRIFT_TOL
+            assert tr.records[1].residual == measured
+        assert repairs == []
+
+    def test_a_hand_built_frame_gives_measured_points(self, monkeypatch):
+        import unisym.manifold as manifold
+        calls = counted(monkeypatch, manifold, "_unitarity_residual")
+        Q = us_random(4, seed=3).Q
+        P = us_point_at(GeodesicFrame(QR=Q, theta=np.zeros(4)), np.full(4, 0.3))
+        U = u_random(4, seed=3).U
+        V = np.eye(4, 2, dtype=complex)
+        Pu = u_point_at(UGeodesicFrame(U=U, UV=U @ V, V=V, d=np.array([1.0, -1.0]), norm=1.0), 0.5)
+        for point, A in ((P, P.Q), (Pu, Pu.U)):
+            assert math.isnan(point.bound())
+            assert point.max_residual() == point.max_residual() == _unitarity_residual(A)
+        # one measurement per point, cached
+        assert len(calls) == 2 and calls[0][0] is P.Q and calls[1][0] is Pu.U
+
+    def test_a_non_finite_factor_is_measured_and_lost(self):
+        # a NaN in the parent's factor makes the frame's bound NaN, which
+        # is not within DRIFT_TOL: the candidate is measured, and the drift
+        # rule names it
+        Q = us_random(4, seed=3).Q.copy()
+        Q[0, 0] = np.nan
+        Fr = us_geodesic_frame(UsPoint(Q=Q), TangentDirection(R=sym_matrix(5).real))
+        assert math.isnan(Fr.residual)
+        U = u_random(4, seed=3).U.copy()
+        U[0, 0] = np.nan
+        Fu = u_geodesic_frame(UPoint(U=U), np.ones((4, 1)), np.ones((4, 1)))
+        assert math.isnan(Fu.residual)
+        for cand in (us_point_at(Fr, np.full(4, 0.3)), u_point_at(Fu, 0.5)):
+            assert not cand.bound() <= DRIFT_TOL
+            assert not cand.max_residual() <= DRIFT_TOL
+            with pytest.raises(NumericalError, match="candidate point lost unitarity"):
+                _settle(ConstantObjective(), cand)
 
 
 def fresh_interpreter_lines(code):

@@ -1,6 +1,7 @@
 """tools/same_answers.py on a tiny spec: the working tree against itself
 is identical, its one-ulp floor is reported, and a changed rate is
-reported, row by row and per cell; its net line count of src/unisym is +0
+reported, row by row and per cell; so are each side's residual
+measurements and drift repairs; its net line count of src/unisym is +0
 against itself."""
 
 import csv
@@ -25,6 +26,10 @@ def test_working_tree_against_itself_then_a_changed_rate(tmp_path):
     floor = [line for line in lines if line.startswith("  base's one-ulp floor: ")]
     assert len(floor) == 1 and lines.index(floor[0]) == 1
     assert float(floor[0].rsplit(" ", 1)[1]) <= 1e-13
+    # per side: the start point of each iterative trial and the Takagi
+    # factor of each mo_u_proj and low_cost trial are measured, 4 x 2
+    # trials, and no factor is repaired
+    assert "  residual measurements: base 8, new 8; drift repairs: base 0, new 0" in lines
     # a floor run identical to the base reads 0, with no cell lines
     _, lines = same_answers.compare_outputs(tmp_path / "base", tmp_path / "new", TINY,
                                             tmp_path / "base")
@@ -37,8 +42,10 @@ def test_working_tree_against_itself_then_a_changed_rate(tmp_path):
     rows[1][4] = repr(float(rows[1][4]) + 1e-9)
     with open(path, "w", newline="") as fh:
         csv.writer(fh).writerows(rows)
+    (tmp_path / "new" / "counts.json").unlink()    # as from a source without the names
     same, lines = same_answers.compare_outputs(tmp_path / "base", tmp_path / "new", TINY)
     assert not same
+    assert "  residual measurements: base 8, new n/a; drift repairs: base 0, new n/a" in lines
     assert "  differs: results.csv" in lines
     method, M, trial = rows[1][:3]
     assert f"  rate differs: {method}/{M}/{trial}: |d| 1e-09" in lines

@@ -11,7 +11,10 @@ names, per spec, the files that differ, the largest |delta rate_bits|,
 each (method, M, trial) row whose rate_bits differ with its |delta|, the
 largest |delta| per method, for each (method, M) cell with a moved row
 the mean and the range of the per-trial differences (new minus base),
-the rows whose iteration counts differ and the error rows on either side.
+the rows whose iteration counts differ, the error rows on either side,
+and on each side the count of exact unitarity residual measurements
+(`linalg._unitarity_residual` calls) and of drift repairs
+(`linalg._restore_unitary` calls), "n/a" where the source lacks the name.
 Beside each spec's figures it prints the base's one-ulp floor: a third
 run, of the base with each spec's rho nudged one ulp up, gives the
 largest |delta rate_bits| and the per-cell range that so small a change
@@ -45,8 +48,12 @@ SPECS = {
     "large": {"sweep": [128, 256], "trials": 3, "seed0": 11, "methods": ["mo_us"]},
 }
 
+# the linalg calls counted per spec and side, by their names in the report
+COUNTED = {"_unitarity_residual": "residual measurements", "_restore_unitary": "drift repairs"}
+
 # run in a fresh interpreter with PYTHONPATH=<src>: argv = src, out root,
-# specs, and "ulp" to run each spec with its rho one ulp up
+# specs, and "ulp" to run each spec with its rho one ulp up; COUNTED's calls
+# are counted in every unisym module that binds them, into <out>/counts.json
 _RUNNER = """
 import json, math, sys
 from dataclasses import replace
@@ -57,12 +64,28 @@ from unisym.harness import build_run_spec, run_experiment
 src, out = Path(sys.argv[1]).resolve(), Path(sys.argv[2])
 if Path(unisym.__file__).resolve().parent != src / "unisym":
     sys.exit(f"imported unisym from {unisym.__file__}, not from {src}")
+tally = {}
+for fn in json.loads(sys.argv[5]):
+    real = getattr(unisym.linalg, fn, None)
+    if real is None:
+        continue
+    def counted(*args, fn=fn, real=real, **kwargs):
+        tally[fn] += 1
+        return real(*args, **kwargs)
+    for mod in [m for n, m in sys.modules.items() if n.split(".")[0] == "unisym"]:
+        if getattr(mod, fn, None) is real:
+            setattr(mod, fn, counted)
+    tally[fn] = 0
+counts = {}
 for name, values in json.loads(sys.argv[3]).items():
     spec = build_run_spec({**values, "output_dir": str(out / name)})
     if sys.argv[4] == "ulp":
         sc = spec.scenario
         spec = replace(spec, scenario=replace(sc, rho=float(np.nextafter(sc.rho, math.inf))))
+    tally.update(dict.fromkeys(tally, 0))
     run_experiment(spec)
+    counts[name] = dict(tally)
+(out / "counts.json").write_text(json.dumps(counts))
 """
 
 # one BLAS thread on both sides, as in the benchmark's own runs
@@ -80,7 +103,7 @@ def run_sides(base_src: Path, new_src: Path, specs: dict, workdir: Path) -> None
     for side, src, nudge in (("base", base_src.resolve(), "-"), ("new", new_src.resolve(), "-"),
                              ("floor", base_src.resolve(), "ulp")):
         cmd = [sys.executable, "-c", _RUNNER, str(src), str(workdir / side), json.dumps(specs),
-               nudge]
+               nudge, json.dumps(list(COUNTED))]
         procs.append((side, subprocess.Popen(cmd, cwd=workdir, env={**env, "PYTHONPATH": str(src)},
                                              stderr=subprocess.PIPE, text=True)))
     failures = []
@@ -134,13 +157,21 @@ def _max_abs(cells: dict) -> float:
     return max((abs(d) for ds in cells.values() for d in ds), default=0.0)
 
 
+def _counts(out: Path) -> dict:
+    """spec name -> {linalg name: calls} of a side's counts.json; empty if absent."""
+    path = out / "counts.json"
+    return json.loads(path.read_text(encoding="utf-8")) if path.exists() else {}
+
+
 def compare_outputs(base: Path, new: Path, names, floor: Path | None = None
                     ) -> tuple[bool, list[str]]:
     """Compare the output directories base/<name> and new/<name> per spec
     name: (every file identical, report lines). floor, when given, holds
     the outputs of the base source run with rho one ulp up; each spec then
     also reports how far that nudge moves the base's rates, the noise
-    floor of its figures."""
+    floor of its figures. Each spec reports the COUNTED calls of each side
+    from its counts.json, "n/a" where a side has no count."""
+    counts = {"base": _counts(base), "new": _counts(new)}
     lines = []
     n_same = n_all = 0
     for name in names:
@@ -188,6 +219,10 @@ def compare_outputs(base: Path, new: Path, names, floor: Path | None = None
         for side, rows in (("base", rows_a), ("new", rows_b)):
             lines += [f"  error row ({side}): {'/'.join(k)}"
                       for k, r in rows.items() if r["converged"] == "error"]
+        lines.append("  " + "; ".join(
+            f"{label}: " + ", ".join(f"{side} {c.get(name, {}).get(fn, 'n/a')}"
+                                     for side, c in counts.items())
+            for fn, label in COUNTED.items()))
     lines.append(f"{n_same} of {n_all} files identical")
     return n_same == n_all, lines
 
