@@ -219,10 +219,14 @@ def _gram_cholesky(ch: ChannelSet, Theta, rho: float, what: str) -> tuple[np.nda
     return H, L
 
 
+def _log_det(L: np.ndarray) -> float:
+    """ln det E in nats from the Cholesky factor L of E."""
+    return float(2.0 * np.sum(np.log(np.real(np.diag(L)))))
+
+
 def rate(ch: ChannelSet, Theta, rho: float) -> float:
     """Achievable rate ln det(I + rho H_eq H_eq^H) in nats, via Cholesky."""
-    _, L = _gram_cholesky(ch, Theta, rho, "rate")
-    return float(2.0 * np.sum(np.log(np.real(np.diag(L)))))
+    return _log_det(_gram_cholesky(ch, Theta, rho, "rate")[1])
 
 
 def rate_bits(ch: ChannelSet, Theta, rho: float) -> float:
@@ -237,17 +241,21 @@ def euclid_grad(ch: ChannelSet, Theta, rho: float) -> np.ndarray:
 
 
 def _grad_factors(ch: ChannelSet, Theta, rho: float) -> tuple[np.ndarray, np.ndarray]:
+    """The rate gradient at Theta, as _factors_of gives it."""
+    return _factors_of(ch, rho, *_gram_cholesky(ch, Theta, rho, "gradient"))
+
+
+def _factors_of(ch: ChannelSet, rho: float, H: np.ndarray,
+                L: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The rate gradient 2 rho F^H X G, X = E^-1 H_eq (nr x nt), as a pair
-    (A, B) with J = A B^H, of width min(nr, nt): 2 rho X joins F^H when
-    nt <= nr and G^H otherwise.
+    (A, B) with J = A B^H, of width min(nr, nt), from H_eq and the Cholesky
+    factor L of E: 2 rho X joins F^H when nt <= nr and G^H otherwise.
 
     The conjugate-Wirtinger derivative of ln det E is rho F^H X G; the
     directional derivative along a perturbation D of Theta is twice its
     real inner product with D, so the metric gradient carries the factor
-    2. E^-1 = L^-H L^-1 is applied by two solves with the Cholesky factor
-    of E.
+    2. E^-1 = L^-H L^-1 is applied by two solves with L.
     """
-    H, L = _gram_cholesky(ch, Theta, rho, "gradient")
     X = 2.0 * rho * np.linalg.solve(L.conj().T, np.linalg.solve(L, H))
     if X.shape[1] <= X.shape[0]:
         return ch.F.conj().T @ X, ch.G.conj().T
@@ -289,23 +297,49 @@ class RateObjective(Objective):
     Usable both on the unitary-symmetric manifold (with the closed-form
     phase maximizer and sweep) and on the plain unitary manifold for the
     projection baseline.
+
+    eval and grad_factors of one point object share one factorization:
+    H_eq and L are kept for the last UsPoint or UPoint factored (points
+    are frozen). channels and rho are read-only, so they cannot go stale.
     """
 
     def __init__(self, channels: ChannelSet, rho: float):
-        self.channels = channels
-        self.rho = float(rho)
+        self._channels = channels
+        self._rho = float(rho)
+        self._memo = None    # (point, H, L) of the last point factored
+
+    @property
+    def channels(self) -> ChannelSet:
+        return self._channels
+
+    @property
+    def rho(self) -> float:
+        return self._rho
+
+    def _factored(self, point, what: str) -> tuple[np.ndarray, np.ndarray]:
+        """_gram_cholesky at point, kept for a point object; a NumericalError
+        leaves nothing kept."""
+        memo = self._memo
+        if memo is not None and memo[0] is point:
+            return memo[1], memo[2]
+        self._memo = None
+        H, L = _gram_cholesky(self.channels, point, self.rho, what)
+        if isinstance(point, (UsPoint, UPoint)):
+            self._memo = (point, H, L)
+        return H, L
 
     def eval(self, point) -> float:
-        return rate(self.channels, point, self.rho)
+        return _log_det(self._factored(point, "rate")[1])
 
     def grad_factors(self, point) -> tuple[np.ndarray, np.ndarray]:
-        return _grad_factors(self.channels, point, self.rho)
+        return _factors_of(self.channels, self.rho, *self._factored(point, "gradient"))
 
     def phase_maximizer(self, Fr: GeodesicFrame, theta: np.ndarray, m: int) -> float:
         """The closed-form optimal phase of axis m, the others held at theta.
 
         Never returns a phase worse than theta[m]; flat axes (e.g. a column
-        annihilated by F) keep their current phase.
+        annihilated by F) and the axes of the frame's null block keep their
+        current phase.
         """
         if isinstance(m, (int, np.integer)) and not 0 <= m < Fr.n:
             raise ValueError(f"phase index {m} out of range for n={Fr.n}")
@@ -319,17 +353,21 @@ class RateObjective(Objective):
         """The closed-form updates of the given axes in order: the channel H
         is built once and kept current by removing and re-adding each
         axis's rank-one term u w^T, with one nr x nr solve, O(nr^2 nt), per
-        axis that is not provably flat. Overwrites and returns theta.
+        axis that is neither in the frame's null block nor provably flat.
+        Overwrites and returns theta.
 
-        Axis m keeps its phase unsolved when rho ||u_m|| ||w_m|| b <
-        FLAT_ALPHA / 2, with b = ||Hd||_F + sum_j ||u_j|| ||w_j||: b bounds
-        ||C||_2 at any phases and E >= I, so _phase_step's |alpha| <=
-        rho ||w|| ||C|| ||u|| is flat with room for roundoff, and its margin
-        check cannot fire. A frame of optimize_us has k = min(m,
-        4 min(nr, nt)) non-null axes; on nr = nt links F and G^* annihilate
-        every other axis to roundoff, so they are flat in every sweep. On
-        nr != nt links only the wider side's factor does (a ||w|| or ||u||
-        near 1e-20), and the bound can still clear FLAT_ALPHA / 2.
+        The null block Fr.null, the n - k axes that a frame built on the
+        gradient's span adds outside it (theta = 0), keeps its phases
+        unsolved: the channel cannot see those axes, as w = G^* QR_m = 0
+        when nt <= nr and u = F QR_m = 0 otherwise. So a sweep of
+        optimize_us solves at most k = min(n, 4 min(nr, nt)) axes.
+
+        Of the other axes, axis m keeps its phase unsolved when
+        rho ||u_m|| ||w_m|| b < FLAT_ALPHA / 2, with b = ||Hd||_F +
+        sum_j ||u_j|| ||w_j||: b bounds ||C||_2 at any phases and E >= I,
+        so _phase_step's |alpha| <= rho ||w|| ||C|| ||u|| is flat with room
+        for roundoff, and its margin check cannot fire. That rule serves
+        flat axes inside a span and frames built without a null block.
         A 2 rho b^2 past the float range raises NumericalError up front.
         """
         ch = self.channels
@@ -344,7 +382,7 @@ class RateObjective(Objective):
                                  f"b^2 = {b * b:.3g} leaves the float range")
         bound = uw_norm * (self.rho * b)
         flat = (bound < FLAT_ALPHA / 2).tolist()   # an overflowed or NaN bound is not flat
-        live = [m for m in axes if not flat[m]]
+        live = [m for m in axes if not (flat[m] or m in Fr.null)]
         rows = np.array(live, dtype=np.intp)
         U, W = Ut[rows], Wt[rows]
         # per live axis: u w^T, and I + rho ||w||^2 u u^H, the constant part

@@ -106,14 +106,17 @@ class GeodesicFrame:
     With R = V diag(theta) V^T, the frame stores QR = Q V and theta; the
     geodesic is U(mu) = QR diag(e^{j theta mu}) QR^T, reached through
     us_point_at. A frame keeps all n axes: one built on a span of k
-    columns (us_geodesic_frame) has theta = 0 on its n - k null axes.
-    residual is an upper bound on ||QR QR^H - I||_F; NaN, as for a frame
-    built by hand, leaves every point of the frame to be measured.
+    columns (us_geodesic_frame) has theta = 0 on its n - k null axes,
+    the positions that null records; it is empty for a frame built
+    without a span or by hand. residual is an upper bound on
+    ||QR QR^H - I||_F; NaN, as for a frame built by hand, leaves every
+    point of the frame to be measured.
     """
 
     QR: np.ndarray
     theta: np.ndarray
     residual: float = math.nan
+    null: range = range(0)
 
     @property
     def n(self) -> int:
@@ -233,7 +236,8 @@ def us_geodesic_frame(P: UsPoint, D: TangentDirection,
     D.R = Z (Z^T D.R Z) Z^T, so only the k x k middle factor
     W diag(lam) W^T is eigendecomposed: V = [Z W+, Z_perp, Z W-] and
     theta = [lam+, 0, lam-], still descending (lam+ >= 0 > lam-). The frame
-    keeps all n axes. Without span this is the k = n case, Z = I, V = W.
+    keeps all n axes and records the n - k columns of Z_perp as its null
+    block. Without span this is the k = n case, Z = I, V = W.
     """
     if D.n != P.n:
         raise ValueError(f"direction dimension {D.n} != point dimension {P.n}")
@@ -248,16 +252,19 @@ def us_geodesic_frame(P: UsPoint, D: TangentDirection,
         Z = Y[:, :k]
         R = Z.T @ R @ Z
     V, theta = eig_real_symmetric(R)
+    null = range(0)
     if span is not None:
         p = np.count_nonzero(theta >= 0.0)
         V = np.hstack((Z @ V[:, :p], Y[:, k:], Z @ V[:, p:]))
         theta = np.concatenate((theta[:p], np.zeros(P.n - k), theta[p:]))
+        null = range(p, p + P.n - k)
     # QR = fl(Q V) = Q V + E, ||E||_F <= _gamma(n) ||Q||_F ||V||_F, with
     # ||Q||_F^2 <= n (1 + r(Q)); r(V) from the real Gram V^T V
     n = P.n
     r_q, r_v = _gram_bound(P.max_residual(), n, n), _gram_defect(V)
     delta = _gamma(n) * n * math.sqrt((1.0 + r_q) * (1.0 + r_v))
-    return GeodesicFrame(QR=P.Q @ V, theta=theta, residual=_step_bound(r_q, r_v, delta, n))
+    return GeodesicFrame(QR=P.Q @ V, theta=theta, residual=_step_bound(r_q, r_v, delta, n),
+                         null=null)
 
 
 def _us_point_bound(r: float, z: np.ndarray) -> float:

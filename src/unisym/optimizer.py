@@ -9,7 +9,12 @@ phases with the gradient-step values, let the objective's sweep maximize
 over each phase one coordinate at a time, then move with the
 multiplicative factor update. No step size is ever chosen. R lies in the
 real span of Q^H A and Q^T B, so the frame takes a k x k eigh on that
-span, k = min(n, 4 r) for factors of width r, not an n x n one.
+span, k = min(n, 4 r) for factors of width r, not an n x n one; the
+frame records the other n - k axes, which the step leaves still, as its
+null block.
+
+Each gradient is taken at the very point object last valued, so an
+objective that memoizes per point (RateObjective) factors it once.
 """
 
 from __future__ import annotations
@@ -53,6 +58,9 @@ class Objective:
     already-updated values. It may overwrite theta and returns the swept
     phases, and it may never decrease the objective. There is no numerical
     fallback: an objective brings its own per-phase maximizer.
+
+    Points are frozen and no optimizer changes one, so an objective may
+    memoize what eval and grad_factors share, per point, by identity.
     """
 
     def eval(self, point) -> float:
@@ -84,7 +92,8 @@ class IterationRecord:
     wall_ms: float      # whole-iteration wall time
     # optimize_us: gradient + projection + frame (span QR, k x k
     # eigendecomposition, Q V, the real Gram V^T V) + update;
-    # optimize_u_armijo: the whole step (frame, line search, drift check)
+    # optimize_u_armijo: the whole step (frame, line search, drift check).
+    # The gradient reuses the factorization made in valuing the point
     core_ms: float
     # certified upper bound on the iterate's ||Q Q^H - I||_F (||U U^H - I||_F
     # on U(n)), carried from its parent; measured where that bound is not

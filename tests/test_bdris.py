@@ -12,6 +12,7 @@ import re
 import sys
 import warnings
 from collections import Counter
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -32,6 +33,7 @@ from unisym.bdris import (
     low_cost_bdris,
     mo_u_proj_baseline,
     path_loss,
+    _grad_factors,
     _phase_step,
     rate,
     rate_bits,
@@ -42,6 +44,7 @@ from unisym.linalg import DRIFT_TOL, NumericalError, expm_skew_hermitian
 from unisym.manifold import (
     GeodesicFrame,
     TangentDirection,
+    UPoint,
     UsPoint,
     u_geodesic_frame,
     u_point_at,
@@ -546,6 +549,109 @@ class TestRateObjective:
             assert f_chosen >= best - 1e-9
 
 
+def counted_choleskies(monkeypatch):
+    """Wrap bdris._gram_cholesky so the returned list collects the `what`
+    of each call from here on."""
+    import unisym.bdris
+    calls, real = [], unisym.bdris._gram_cholesky
+
+    def counted(ch, Theta, rho, what):
+        calls.append(what)
+        return real(ch, Theta, rho, what)
+
+    monkeypatch.setattr(unisym.bdris, "_gram_cholesky", counted)
+    return calls
+
+
+def memo_case(nr, nt, kind):
+    """Channels, rho and a random point of the given kind on 6 elements."""
+    ch = make_channels(np.random.default_rng(30 + nr), nr, nt, 6)
+    P = us_random(6, seed=nt) if kind == "us" else u_random(6, seed=nt)
+    return ch, 5.0, P
+
+
+def copy_point(P, scale=1.0):
+    """A new point object with P's factor times scale."""
+    if isinstance(P, UsPoint):
+        return UsPoint(Q=scale * P.Q)
+    return UPoint(U=scale * P.U)
+
+
+class TestPointMemo:
+    """eval and grad_factors of one point share one factorization of
+    I + rho H H^H, keyed by the point object."""
+
+    @pytest.mark.parametrize("nr, nt", [(4, 4), (8, 2), (2, 8)])
+    @pytest.mark.parametrize("kind", ["us", "u"])
+    def test_one_factorization_per_point(self, monkeypatch, nr, nt, kind):
+        ch, rho, P = memo_case(nr, nt, kind)
+        value, (A, B) = rate(ch, P, rho), _grad_factors(ch, P, rho)
+        calls = counted_choleskies(monkeypatch)
+        obj = RateObjective(ch, rho)
+        assert obj.eval(P) == value
+        got = obj.grad_factors(P)
+        assert calls == ["rate"]
+        # bit for bit the module functions, in both gradient-factor branches
+        np.testing.assert_array_equal(got[0], A)
+        np.testing.assert_array_equal(got[1], B)
+        # another object is factored again, even with the same matrix
+        Q = copy_point(P)
+        assert obj.eval(Q) == value
+        np.testing.assert_array_equal(obj.grad_factors(Q)[0], A)
+        assert calls == ["rate", "rate"]
+        # and P, no longer the memo's, is factored again for its gradient
+        np.testing.assert_array_equal(obj.grad_factors(P)[0], A)
+        assert obj.eval(P) == value
+        assert calls == ["rate", "rate", "gradient"]
+
+    def test_a_plain_matrix_is_never_memoized(self, monkeypatch):
+        ch, rho, P = memo_case(4, 4, "us")
+        calls = counted_choleskies(monkeypatch)
+        obj = RateObjective(ch, rho)
+        assert obj.eval(P.U) == obj.eval(P.U) == rate(ch, P.U, rho)
+        assert calls == ["rate", "rate", "rate"]
+
+    def test_channels_and_rho_are_read_only(self):
+        ch, rho, P = memo_case(4, 4, "us")
+        obj = RateObjective(ch, rho)
+        value = obj.eval(P)
+        with pytest.raises(AttributeError):
+            obj.rho = 2.0 * rho
+        with pytest.raises(AttributeError):
+            obj.channels = make_channels(np.random.default_rng(1), 4, 4, 6)
+        assert obj.rho == rho and obj.eval(P) == value
+        # another rho is another objective, which values P afresh
+        assert RateObjective(ch, 2.0 * rho).eval(P) == rate(ch, P, 2.0 * rho) != value
+
+    @pytest.mark.parametrize("kind", ["us", "u"])
+    def test_a_raising_point_leaves_no_memo(self, monkeypatch, kind):
+        ch, rho, P = memo_case(8, 2, kind)
+        obj = RateObjective(ch, rho)
+        value = obj.eval(P)
+        bad = copy_point(P, scale=math.nan)
+        calls = counted_choleskies(monkeypatch)
+        with pytest.raises(NumericalError, match="rate argument overflowed"):
+            obj.eval(bad)
+        with pytest.raises(NumericalError, match="gradient argument overflowed"):
+            obj.grad_factors(bad)
+        # nor is P's kept past the raise
+        assert obj.eval(P) == value
+        assert calls == ["rate", "gradient", "rate"]
+
+    @pytest.mark.parametrize("nr, nt", [(4, 4), (8, 2), (2, 8)])
+    def test_every_step_takes_its_gradient_from_the_memo(self, monkeypatch, nr, nt):
+        # both optimizers value a point before they take its gradient, so
+        # no whole run factors for a gradient
+        calls = counted_choleskies(monkeypatch)
+        sc = Scenario(nr=nr, nt=nt, m=16)
+        obj = RateObjective(gen_channels(sc, seed=nr), sc.rho)
+        for run, P0 in ((optimize_us, us_random(16, seed=5)), (optimize_u_armijo, u_random(16, seed=5))):
+            calls.clear()
+            _, trace = run(obj, P0)
+            assert trace.iterations >= 3
+            assert "gradient" not in calls and len(calls) >= trace.iterations + 1
+
+
 def cholesky_phase_argmax(Hd, Uc, Wc, theta, m, rho):
     """Oracle: the per-phase closed form with the channel C rebuilt from
     all phases and I + rho (C C^H + ||w||^2 u u^H) factored by Cholesky."""
@@ -774,8 +880,8 @@ class TestFlatAxes:
 
     @pytest.mark.parametrize("M", [32, 64])
     def test_no_sweep_of_a_whole_run_solves_a_null_axis(self, monkeypatch, M):
-        # the frame of R has min(M, 4 min(nr, nt)) non-null axes, and on a
-        # 4x4 link F and G^* annihilate the rest, late sweeps included
+        # the frame of R has min(M, 4 min(nr, nt)) non-null axes, and the
+        # sweep skips the rest on every link shape, late sweeps included
         import unisym.bdris
         counts = []
 
@@ -791,12 +897,15 @@ class TestFlatAxes:
 
         monkeypatch.setattr(unisym.bdris, "_phase_step", counting)
         monkeypatch.setattr(RateObjective, "_sweep", opening)
-        sc = Scenario(m=M, direct_blocked=True)
-        for s in range(12):
-            ch = gen_channels(sc, seed=s)
-            optimize_us(RateObjective(ch, sc.rho), us_random(M, seed=100 + s))
-        assert len(counts) > 12 * 2
-        assert max(counts) <= min(M, 4 * 4), Counter(counts)
+        # blocked nr != nt runs converge slowly: fewer of them
+        for nr, nt, runs in ((4, 4, 12), (8, 2, 2), (2, 8, 2)):
+            sc = Scenario(nr=nr, nt=nt, m=M, direct_blocked=True)
+            counts.clear()
+            for s in range(runs):
+                ch = gen_channels(sc, seed=s)
+                optimize_us(RateObjective(ch, sc.rho), us_random(M, seed=100 + s))
+            assert len(counts) > runs * 2
+            assert max(counts) <= min(M, 4 * min(nr, nt)), ((nr, nt), Counter(counts))
 
 
 def gradient_span(P, A, B):
@@ -836,6 +945,71 @@ class TestSpanFrame:
             shown = f"span must be a real matrix with 5 rows, got {span.dtype} of shape {span.shape}"
             with pytest.raises(ValueError, match=re.escape(shown)):
                 us_geodesic_frame(P, D, span=span)
+
+
+def span_frame_case(nr, nt, M, blocked, seed):
+    """Channels, rho, the span-built frame of optimize_us's first step from
+    a random point, and its gradient-step seed phases."""
+    sc = Scenario(nr=nr, nt=nt, m=M, direct_blocked=blocked)
+    ch = gen_channels(sc, seed=seed)
+    P = us_random(M, seed=seed + 1)
+    A, B = RateObjective(ch, sc.rho).grad_factors(P)
+    Fr = us_geodesic_frame(P, us_tangent_project(P, A @ B.conj().T),
+                           span=gradient_span(P, A, B))
+    return ch, sc.rho, Fr, np.mod(Fr.theta + np.pi, 2.0 * np.pi) - np.pi
+
+
+NULL_BLOCK_CASES = [(nr, nt, M, blocked) for nr, nt in ((8, 2), (2, 8), (4, 4))
+                    for M in (16, 64) for blocked in (False, True)]
+
+
+class TestNullBlock:
+    """A span-built frame records its n - k null axes, which the channel
+    cannot see; the sweep leaves them unsolved at phase 0."""
+
+    def test_the_block_holds_the_zero_phases_outside_the_span(self):
+        for nr, nt, M, blocked in NULL_BLOCK_CASES:
+            _, _, Fr, _ = span_frame_case(nr, nt, M, blocked, 900 + M)
+            k = min(M, 4 * min(nr, nt))
+            case = (nr, nt, M, blocked)
+            assert len(Fr.null) == M - k, case
+            assert np.all(Fr.theta[Fr.null] == 0.0), case
+        # a frame without a span, or built by hand, has no null block
+        P = us_random(4, seed=1)
+        assert us_geodesic_frame(P, TangentDirection(R=np.eye(4))).null == range(0)
+        assert GeodesicFrame(QR=P.Q, theta=np.zeros(4)).null == range(0)
+
+    def test_sweep_matches_the_frame_without_its_null_block(self, monkeypatch):
+        counts = []
+        for nr, nt, M, blocked in NULL_BLOCK_CASES:
+            ch, rho, Fr, theta0 = span_frame_case(nr, nt, M, blocked, 900 + M)
+            case = (nr, nt, M, blocked)
+            null = list(Fr.null)
+            live = [m for m in range(M) if m not in Fr.null]
+            whole = RateObjective(ch, rho).sweep(replace(Fr, null=range(0)), theta0.copy())
+            distinct = theta0 + 1e-3 * np.arange(M)    # as visited_axes needs
+            visited = visited_axes(monkeypatch, distinct)
+            RateObjective(ch, rho).sweep(Fr, distinct.copy())
+            monkeypatch.undo()
+            theta = RateObjective(ch, rho).sweep(Fr, theta0.copy())
+            np.testing.assert_array_equal(theta[live], whole[live], str(case))
+            assert np.all(theta[null] == 0.0) and np.all(whole[null] == 0.0), case
+            assert not set(visited) & set(null), case
+            assert len(visited) <= M - len(null), case
+            counts.append(len(visited))
+        assert max(counts) >= 8    # the 8 x 2 and 2 x 8 frames have live axes to solve
+
+    def test_phase_maximizer_keeps_a_null_axis_phase(self, monkeypatch):
+        for nr, nt in ((8, 2), (2, 8), (4, 4)):
+            ch, rho, Fr, theta0 = span_frame_case(nr, nt, 64, False, 950)
+            obj = RateObjective(ch, rho)
+            theta = theta0 + 1e-3 * np.arange(64)
+            theta[Fr.null] = np.linspace(-2.0, 2.0, len(Fr.null))
+            visited = visited_axes(monkeypatch, theta)
+            for m in (Fr.null[0], Fr.null[-1]):
+                assert obj.phase_maximizer(Fr, theta, m) == theta[m]
+            monkeypatch.undo()
+            assert visited == []
 
 
 class TestLowCost:

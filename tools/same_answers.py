@@ -3,7 +3,7 @@
 
     python3 tools/same_answers.py <git-ref>
 
-Runs four fixed run specs through `unisym.harness.run_experiment` on two
+Runs five fixed run specs through `unisym.harness.run_experiment` on two
 sides, each in its own interpreter: once on the `src/` of a `git archive`
 copy of <git-ref>, once on the working tree's `src/`. Each output file is
 compared byte for byte once its `wall_ms` column is dropped. The report
@@ -45,6 +45,7 @@ SPECS = {
     "desk": {"sweep": [16, 32, 64], "trials": 4, "seed0": 3},
     "blocked": {"sweep": [16, 32], "trials": 3, "seed0": 5, "direct_blocked": True},
     "link_8x2": {"nr": 8, "nt": 2, "sweep": [16, 32], "trials": 4, "seed0": 7},
+    "link_2x8": {"nr": 2, "nt": 8, "sweep": [16, 32], "trials": 4, "seed0": 7},
     "large": {"sweep": [128, 256], "trials": 3, "seed0": 11, "methods": ["mo_us"]},
 }
 
