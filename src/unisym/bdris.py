@@ -27,8 +27,6 @@ from .manifold import (
 from .optimizer import IterationTrace, Objective, OptimizerConfig, optimize_u_armijo
 
 LN2 = math.log(2.0)
-# |alpha| below which _phase_step calls an axis flat and keeps its phase
-FLAT_ALPHA = 1e-14
 
 
 class InapplicableMethodError(RuntimeError):
@@ -263,7 +261,7 @@ def _factors_of(ch: ChannelSet, rho: float, H: np.ndarray,
 
 
 def _phase_step(C: np.ndarray, u: np.ndarray, wc: np.ndarray, base: np.ndarray,
-                rho: float, phi: float) -> float:
+                rho: float) -> float:
     """Optimal phase of one frame axis with the others held fixed.
 
     With u, w the axis's columns of F QR and G^* QR, the varying part of
@@ -272,8 +270,8 @@ def _phase_step(C: np.ndarray, u: np.ndarray, wc: np.ndarray, base: np.ndarray,
     const + ln(|1 + alpha e^{j phi}|^2 - kappa), maximized at -arg(alpha).
     alpha and kappa come from one solve of the nr x nr matrix
     I + rho (C C^H + ||w||^2 u u^H) against [u, rho C w^*]; base is its
-    constant part I + rho ||w||^2 u u^H and wc = w^*. A flat axis
-    (alpha ~ 0) keeps phi.
+    constant part I + rho ||w||^2 u u^H and wc = w^*. On a flat axis
+    (alpha = 0) every phase is optimal, and -arg(0) = 0 is one.
     """
     rC = rho * C
     B = np.array((u, rC @ wc))
@@ -286,8 +284,6 @@ def _phase_step(C: np.ndarray, u: np.ndarray, wc: np.ndarray, base: np.ndarray,
         raise NumericalError(
             f"per-phase determinant term lost positivity: margin {margin:.3e} "
             f"(|alpha|={abs(alpha):.3e}, kappa={kappa:.3e})")
-    if abs(alpha) < FLAT_ALPHA:
-        return phi
     return -cmath.phase(alpha)
 
 
@@ -337,9 +333,9 @@ class RateObjective(Objective):
     def phase_maximizer(self, Fr: GeodesicFrame, theta: np.ndarray, m: int) -> float:
         """The closed-form optimal phase of axis m, the others held at theta.
 
-        Never returns a phase worse than theta[m]; flat axes (e.g. a column
-        annihilated by F) and the axes of the frame's null block keep their
-        current phase.
+        Never returns a phase worse than theta[m]. An axis of the frame's
+        null block keeps its current phase; any other axis, a flat one
+        (e.g. a column annihilated by F) included, gets -arg(alpha).
         """
         if isinstance(m, (int, np.integer)) and not 0 <= m < Fr.n:
             raise ValueError(f"phase index {m} out of range for n={Fr.n}")
@@ -353,36 +349,31 @@ class RateObjective(Objective):
         """The closed-form updates of the given axes in order: the channel H
         is built once and kept current by removing and re-adding each
         axis's rank-one term u w^T, with one nr x nr solve, O(nr^2 nt), per
-        axis that is neither in the frame's null block nor provably flat.
-        Overwrites and returns theta.
+        axis outside the frame's null block. Overwrites and returns theta.
 
         The null block Fr.null, the n - k axes that a frame built on the
         gradient's span adds outside it (theta = 0), keeps its phases
         unsolved: the channel cannot see those axes, as w = G^* QR_m = 0
         when nt <= nr and u = F QR_m = 0 otherwise. So a sweep of
-        optimize_us solves at most k = min(n, 4 min(nr, nt)) axes.
+        optimize_us solves at most k = min(n, 4 min(nr, nt)) axes. That
+        block is the only skip: every other axis is solved, and a frame
+        built without a span solves all n.
 
-        Of the other axes, axis m keeps its phase unsolved when
-        rho ||u_m|| ||w_m|| b < FLAT_ALPHA / 2, with b = ||Hd||_F +
-        sum_j ||u_j|| ||w_j||: b bounds ||C||_2 at any phases and E >= I,
-        so _phase_step's |alpha| <= rho ||w|| ||C|| ||u|| is flat with room
-        for roundoff, and its margin check cannot fire. That rule serves
-        flat axes inside a span and frames built without a null block.
-        A 2 rho b^2 past the float range raises NumericalError up front.
+        A 2 rho b^2 past the float range, with b = ||Hd||_F + sum_j ||u_j||
+        ||w_j|| bounding ||C||_2 at any phases, raises NumericalError up
+        front.
         """
         ch = self.channels
         Ut = (ch.F @ Fr.QR).T.copy()           # row m: u of axis m
         Wt = (ch.G.conj() @ Fr.QR).T.copy()    # row m: w of axis m
         H = ch.Hd + (Ut.T * np.exp(1j * theta)) @ Wt
         ww = np.einsum("ij,ij->i", Wt.conj(), Wt).real
-        uw_norm = np.sqrt(np.einsum("ij,ij->i", Ut.conj(), Ut).real * ww)
-        b = float(np.linalg.norm(ch.Hd)) + float(uw_norm.sum())
+        uu = np.einsum("ij,ij->i", Ut.conj(), Ut).real
+        b = float(np.linalg.norm(ch.Hd)) + float(np.sqrt(uu * ww).sum())
         if not 2.0 * self.rho * b * b < math.inf:     # negated, so that NaN fails too
             raise NumericalError(f"phase sweep overflowed: rho = {self.rho:.3g} times "
                                  f"b^2 = {b * b:.3g} leaves the float range")
-        bound = uw_norm * (self.rho * b)
-        flat = (bound < FLAT_ALPHA / 2).tolist()   # an overflowed or NaN bound is not flat
-        live = [m for m in axes if not (flat[m] or m in Fr.null)]
+        live = [m for m in axes if m not in Fr.null]
         rows = np.array(live, dtype=np.intp)
         U, W = Ut[rows], Wt[rows]
         # per live axis: u w^T, and I + rho ||w||^2 u u^H, the constant part
@@ -392,7 +383,7 @@ class RateObjective(Objective):
             U[:, :, None] * U.conj()[:, None, :])
         for m, uw, u, wc, base_m in zip(live, UW, U, W.conj(), base):
             C = H - cmath.exp(1j * theta[m]) * uw
-            theta[m] = _phase_step(C, u, wc, base_m, self.rho, theta[m])
+            theta[m] = _phase_step(C, u, wc, base_m, self.rho)
             H = C + cmath.exp(1j * theta[m]) * uw
         return theta
 

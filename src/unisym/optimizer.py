@@ -146,8 +146,10 @@ def _ascend(obj: Objective, P0, cfg: OptimizerConfig, step):
     returns (found, grad_norm, core_s). found is the candidate it proposes,
     a (point, value, residual) triple from _settle, or None when it found
     none. A missing candidate, or one valued below F, is refused: the trace
-    repeats the current point and the run ends "stalled". Otherwise the run
-    moves and stops when |F_new - F| < epsilon or at max_iters.
+    repeats the current point and the run ends: "converged" when the
+    candidate fell short of F by less than epsilon (roundoff at the
+    optimum), "stalled" otherwise. Otherwise the run moves and stops when
+    |F_new - F| < epsilon or at max_iters.
     """
     residual = P0.max_residual()
     if not residual <= DRIFT_TOL:    # negated, so that NaN fails too
@@ -159,9 +161,10 @@ def _ascend(obj: Objective, P0, cfg: OptimizerConfig, step):
         t_start = time.perf_counter()
         found, grad_norm, core_s = step(obj, P, F)
         wall_ms = (time.perf_counter() - t_start) * 1e3
-        stalled = found is None or not found[1] >= F
+        refused = found is None or not found[1] >= F
+        stalled = found is None or not F - found[1] < cfg.epsilon    # negated: NaN stalls
         # P is the point of the last record, so its residual is known
-        P_new, F_new, res = (P, F, trace.records[-1].residual) if stalled else found
+        P_new, F_new, res = (P, F, trace.records[-1].residual) if refused else found
         trace.records.append(IterationRecord(
             k=k, value=F_new, grad_norm=grad_norm, wall_ms=wall_ms,
             core_ms=core_s * 1e3, residual=res))
@@ -221,8 +224,9 @@ def optimize_us(obj: Objective, U0: UsPoint,
     principle end below the current value; when that happens the sweep is
     redone from the all-zeros phase vector, which reproduces the current
     point and therefore cannot lose ground. Stops when |F_k - F_{k-1}| <
-    epsilon or at max_iters; a move that the redone pass still ends below
-    (roundoff) is refused: "stalled".
+    epsilon or at max_iters. A move that the redone pass still ends below
+    (roundoff) is refused, and the run ends "converged" when it fell short
+    by less than epsilon, "stalled" otherwise.
 
     Returns the final point and a per-iteration trace with monotone values.
     """

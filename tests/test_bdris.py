@@ -20,7 +20,6 @@ from scipy.linalg import LinAlgError, cho_factor, cho_solve
 from scipy.optimize import minimize_scalar
 
 from unisym.bdris import (
-    FLAT_ALPHA,
     ChannelSet,
     InapplicableMethodError,
     RateObjective,
@@ -408,14 +407,20 @@ def wrap_angle(x):
 
 
 class TestPerPhaseOpt:
-    def test_annihilated_column_keeps_current_phase(self):
+    def test_annihilated_column_is_solved_without_loss(self, monkeypatch):
+        # a flat axis outside the null block is solved like any other; any
+        # phase is optimal there
         rng = np.random.default_rng(11)
         F = crandn(rng, 2, 3)
         F[:, 0] = 0.0
         ch = ChannelSet(Hd=crandn(rng, 2, 2), F=F, G=crandn(rng, 2, 3))
         Fr = GeodesicFrame(QR=np.eye(3, dtype=complex), theta=np.zeros(3))
         theta = np.array([0.7, -1.2, 2.0])
-        assert RateObjective(ch, 2.0).phase_maximizer(Fr, theta, 0) == 0.7
+        visited = visited_axes(monkeypatch, ch, Fr)
+        t = theta.copy()
+        t[0] = RateObjective(ch, 2.0).phase_maximizer(Fr, theta, 0)
+        assert visited == [0]
+        assert rate_at_phases(ch, Fr, t, 2.0) >= rate_at_phases(ch, Fr, theta, 2.0) - 1e-12
 
     def test_scalar_without_direct_link_is_flat(self):
         rng = np.random.default_rng(12)
@@ -654,7 +659,8 @@ class TestPointMemo:
 
 def cholesky_phase_argmax(Hd, Uc, Wc, theta, m, rho):
     """Oracle: the per-phase closed form with the channel C rebuilt from
-    all phases and I + rho (C C^H + ||w||^2 u u^H) factored by Cholesky."""
+    all phases and I + rho (C C^H + ||w||^2 u u^H) factored by Cholesky;
+    returns the phase -arg(alpha) and |alpha|."""
     u = Uc[:, m]
     w = Wc[:, m]
     ph = np.exp(1j * theta)
@@ -672,17 +678,17 @@ def cholesky_phase_argmax(Hd, Uc, Wc, theta, m, rho):
     margin = (1.0 - abs(alpha)) ** 2 - kappa
     if margin <= 0.0:
         raise NumericalError(f"margin {margin:.3e}")
-    if abs(alpha) < 1e-14:
-        return float(theta[m])
-    return float(-np.angle(alpha))
+    return float(-np.angle(alpha)), abs(alpha)
 
 
 def oracle_sweep(ch, Fr, theta, rho):
+    """The swept phases and each axis's |alpha|, by cholesky_phase_argmax."""
     Uc, Wc = ch.F @ Fr.QR, ch.G.conj() @ Fr.QR
     theta = np.array(theta, dtype=float)
+    alphas = np.zeros(Fr.n)
     for m in range(Fr.n):
-        theta[m] = cholesky_phase_argmax(ch.Hd, Uc, Wc, theta, m, rho)
-    return theta
+        theta[m], alphas[m] = cholesky_phase_argmax(ch.Hd, Uc, Wc, theta, m, rho)
+    return theta, alphas
 
 
 def seeded_sweep_case(nr, nt, M, rho_db, blocked, seed):
@@ -697,7 +703,8 @@ def seeded_sweep_case(nr, nt, M, rho_db, blocked, seed):
 
 def every_axis_sweep(ch, Fr, theta, rho):
     """Oracle: the incremental sweep with _phase_step solved on every axis,
-    flat or not, from the same per-axis terms as RateObjective.sweep."""
+    null block included, from the same per-axis terms as
+    RateObjective.sweep."""
     Ut = (ch.F @ Fr.QR).T.copy()
     Wt = (ch.G.conj() @ Fr.QR).T.copy()
     Wct = Wt.conj()
@@ -709,7 +716,7 @@ def every_axis_sweep(ch, Fr, theta, rho):
     H = ch.Hd + (Ut.T * np.exp(1j * theta)) @ Wt
     for m in range(Fr.n):
         C = H - cmath.exp(1j * theta[m]) * UW[m]
-        theta[m] = _phase_step(C, Ut[m], Wct[m], base[m], rho, theta[m])
+        theta[m] = _phase_step(C, Ut[m], Wct[m], base[m], rho)
         H = C + cmath.exp(1j * theta[m]) * UW[m]
     return theta
 
@@ -725,15 +732,18 @@ def fuzz_scenarios():
                              direct_blocked=bool(rng.integers(2)))
 
 
-def visited_axes(monkeypatch, theta):
+def visited_axes(monkeypatch, ch, Fr):
     """Wrap _phase_step so the returned list collects the index of each axis
-    it solves; the entries of theta must be distinct."""
+    of Fr it solves: the axis whose columns of F QR and G^* QR lie nearest
+    to the u and w^* it is given."""
     import unisym.bdris
     visited = []
+    Ut, Wct = (ch.F @ Fr.QR).T, (ch.G.conj() @ Fr.QR).T.conj()
 
-    def recording(C, u, wc, base, rho, phi):
-        visited.append(list(theta).index(phi))
-        return _phase_step(C, u, wc, base, rho, phi)
+    def recording(C, u, wc, base, rho):
+        gap = np.abs(Ut - u).sum(axis=1) + np.abs(Wct - wc).sum(axis=1)
+        visited.append(int(np.argmin(gap)))
+        return _phase_step(C, u, wc, base, rho)
 
     monkeypatch.setattr(unisym.bdris, "_phase_step", recording)
     return visited
@@ -756,7 +766,7 @@ class TestSweepKernel:
                         ch, rho, Fr, theta0 = seeded_sweep_case(nr, nt, M, rho_db, blocked, seed)
                         case = (nr, nt, M, rho_db, blocked)
                         try:
-                            expected = oracle_sweep(ch, Fr, theta0, rho)
+                            expected, alphas = oracle_sweep(ch, Fr, theta0, rho)
                         except (NumericalError, LinAlgError):
                             expected = None
                         try:
@@ -767,7 +777,12 @@ class TestSweepKernel:
                         if expected is None:
                             continue
                         if rho_db <= 160.0:
-                            assert np.max(np.abs(wrap_angle(got - expected))) <= 1e-9, case
+                            # a phase error weighted by |alpha|, the rate's
+                            # pull toward -arg(alpha), as on a flat axis
+                            # (alpha = 0) any phase is optimal; 1.2e-14
+                            # measured
+                            gap = alphas * np.abs(wrap_angle(got - expected))
+                            assert np.max(gap) <= 1e-12, case
                         f_got = rate_at_phases(ch, Fr, got, rho)
                         f_expected = rate_at_phases(ch, Fr, expected, rho)
                         assert f_got >= f_expected - 1e-6, case
@@ -829,9 +844,9 @@ class TestFlatAxes:
             outcomes["equal"] += 1
         assert outcomes["equal"] >= 80 and outcomes["raised"] >= 1, outcomes
 
-    def test_annihilated_axes_are_skipped(self, monkeypatch):
-        # F and G^* annihilate axes 1, 4 and 6 of a random frame, up to
-        # roundoff: those keep their phases unsolved
+    def test_annihilated_axes_are_solved_without_loss(self, monkeypatch):
+        # F and G^* annihilate axes 1, 4 and 6 of a hand-built frame, up to
+        # roundoff; outside a null block, those are solved like the rest
         rng = np.random.default_rng(21)
         M = 8
         QR = us_random(M, seed=22).Q
@@ -840,40 +855,24 @@ class TestFlatAxes:
         ch = ChannelSet(Hd=crandn(rng, 4, 4), F=F, G=Gc.conj())
         Fr = GeodesicFrame(QR=QR, theta=np.zeros(M))
         theta0 = np.linspace(-3.0, 3.0, M)
-        visited = visited_axes(monkeypatch, theta0)
+        visited = visited_axes(monkeypatch, ch, Fr)
         theta = RateObjective(ch, 2.0).sweep(Fr, theta0.copy())
-        assert visited == [0, 2, 3, 5, 7]
-        np.testing.assert_array_equal(theta[[1, 4, 6]], theta0[[1, 4, 6]])
-        assert np.all(theta[[0, 2, 3, 5, 7]] != theta0[[0, 2, 3, 5, 7]])
+        assert visited == list(range(M))
+        f = rate_at_phases(ch, Fr, theta, 2.0)
+        assert f >= rate_at_phases(ch, Fr, theta0, 2.0) - 1e-12
+        # the annihilated axes' new phases move the rate by roundoff only
+        # (1.8e-15 nats measured)
+        kept = theta.copy()
+        kept[[1, 4, 6]] = theta0[[1, 4, 6]]
+        assert abs(f - rate_at_phases(ch, Fr, kept, 2.0)) <= 1e-12
         np.testing.assert_array_equal(theta, every_axis_sweep(ch, Fr, theta0, 2.0))
 
-    @pytest.mark.parametrize("ratio, solved", [(1.01, True), (0.99, False)])
-    def test_bound_at_half_flat_decides_the_solve(self, monkeypatch, ratio, solved):
-        # axis 0's bound rho ||u|| ||w|| (||Hd||_F + sum_j ||u_j|| ||w_j||)
-        # set to ratio * FLAT_ALPHA / 2 through the scale s of its u
-        rng = np.random.default_rng(23)
-        rho = 3.0
-        Hd, F, G = crandn(rng, 2, 2), crandn(rng, 2, 3), crandn(rng, 2, 3)
-        c0 = np.linalg.norm(F[:, 0]) * np.linalg.norm(G[:, 0])
-        rest = np.linalg.norm(Hd) + sum(np.linalg.norm(F[:, j]) * np.linalg.norm(G[:, j])
-                                        for j in (1, 2))
-        # rho s c0 (rest + s c0) = ratio FLAT_ALPHA / 2, solved for s
-        target = ratio * FLAT_ALPHA / 2.0
-        s = 2.0 * target / (rho * c0 * (rest + math.sqrt(rest**2 + 4.0 * target / rho)))
-        F[:, 0] *= s
-        ch = ChannelSet(Hd=Hd, F=F, G=G)
-        Fr = GeodesicFrame(QR=np.eye(3, dtype=complex), theta=np.zeros(3))
-        theta0 = np.array([0.5, -1.0, 2.0])
-        visited = visited_axes(monkeypatch, theta0)
-        theta = RateObjective(ch, rho).sweep(Fr, theta0.copy())
-        assert visited == ([0, 1, 2] if solved else [1, 2])
-        np.testing.assert_array_equal(theta, every_axis_sweep(ch, Fr, theta0, rho))
-
     def test_a_4x4_sweep_solves_at_most_16_axes_at_any_size(self, monkeypatch):
+        # the span-built frame of optimize_us: its null block is the skip
         counts = []
         for M in (64, 128):
-            ch, rho, Fr, theta0 = seeded_sweep_case(4, 4, M, 130.0, False, 800)
-            visited = visited_axes(monkeypatch, theta0)
+            ch, rho, Fr, theta0 = span_frame_case(4, 4, M, False, 800)
+            visited = visited_axes(monkeypatch, ch, Fr)
             RateObjective(ch, rho).sweep(Fr, theta0.copy())
             counts.append(len(visited))
         assert counts[0] == counts[1] <= 2 * (4 + 4), counts
@@ -986,16 +985,17 @@ class TestNullBlock:
             case = (nr, nt, M, blocked)
             null = list(Fr.null)
             live = [m for m in range(M) if m not in Fr.null]
+            # without its null block the frame solves every axis; the null
+            # axes' roundoff-level terms move the live phases by at most
+            # 5.7e-14 relative on these cases
             whole = RateObjective(ch, rho).sweep(replace(Fr, null=range(0)), theta0.copy())
-            distinct = theta0 + 1e-3 * np.arange(M)    # as visited_axes needs
-            visited = visited_axes(monkeypatch, distinct)
-            RateObjective(ch, rho).sweep(Fr, distinct.copy())
-            monkeypatch.undo()
+            visited = visited_axes(monkeypatch, ch, Fr)
             theta = RateObjective(ch, rho).sweep(Fr, theta0.copy())
-            np.testing.assert_array_equal(theta[live], whole[live], str(case))
-            assert np.all(theta[null] == 0.0) and np.all(whole[null] == 0.0), case
-            assert not set(visited) & set(null), case
-            assert len(visited) <= M - len(null), case
+            monkeypatch.undo()
+            np.testing.assert_allclose(theta[live], whole[live], rtol=1e-12, atol=0.0,
+                                       err_msg=str(case))
+            assert np.all(theta[null] == 0.0), case
+            assert visited == live, case
             counts.append(len(visited))
         assert max(counts) >= 8    # the 8 x 2 and 2 x 8 frames have live axes to solve
 
@@ -1003,9 +1003,9 @@ class TestNullBlock:
         for nr, nt in ((8, 2), (2, 8), (4, 4)):
             ch, rho, Fr, theta0 = span_frame_case(nr, nt, 64, False, 950)
             obj = RateObjective(ch, rho)
-            theta = theta0 + 1e-3 * np.arange(64)
+            theta = theta0.copy()
             theta[Fr.null] = np.linspace(-2.0, 2.0, len(Fr.null))
-            visited = visited_axes(monkeypatch, theta)
+            visited = visited_axes(monkeypatch, ch, Fr)
             for m in (Fr.null[0], Fr.null[-1]):
                 assert obj.phase_maximizer(Fr, theta, m) == theta[m]
             monkeypatch.undo()

@@ -340,6 +340,19 @@ class TestRunExperiment:
         assert by_method["mo_us"].rate_bits > 0
         assert by_method["mo_u_proj"].rate_bits > 0
 
+    def test_single_element_runs_converge_at_their_optimum(self, tmp_path):
+        # on an 8 x 2 link at M = 1, trials 1 and 5 refuse their last
+        # candidate, 7.1e-15 and 8.9e-15 nats below F: roundoff at the
+        # optimum, so the point is kept and the run converged
+        spec = build_run_spec({"nr": 8, "nt": 2, "sweep": [1], "trials": 6,
+                               "methods": ["mo_us"], "output_dir": str(tmp_path / "r")})
+        result = run_experiment(spec)
+        assert [r.converged for r in result.rows] == ["true"] * 6
+        for trial in (1, 5):
+            trace = read_csv(tmp_path / "r" / f"trace_mo_us_1_{trial}.csv")
+            assert [row[0] for row in trace[1:]] == ["0", "1", "2"]
+            assert trace[-1][1] == trace[-2][1]
+
 
 class TestBench:
     def test_rows_for_iterative_methods_only(self, tmp_path):

@@ -117,6 +117,24 @@ class Sinking(LinearTrace):
         return theta
 
 
+class ShortBy(LinearTrace):
+    """Values its first point at 0 and every other point at -delta, and its
+    sweep always moves, so every candidate falls delta short."""
+
+    def __init__(self, A, delta):
+        super().__init__(A)
+        self.delta = delta
+        self.start = None
+
+    def eval(self, point):
+        if self.start is None:
+            self.start = point
+        return 0.0 if point is self.start else -self.delta
+
+    def sweep(self, Fr, theta):
+        return theta + 0.1
+
+
 class SlowSweep(LinearTrace):
     """A linear trace whose sweep keeps its phases after sleeping 20 ms."""
 
@@ -210,6 +228,20 @@ class TestOptimizeUs:
         assert tr.status == "stalled"
         assert tr.iterations == 1
         assert tr.values.tolist() == [-1.0, -1.0]
+        assert tr.records[1].residual == tr.records[0].residual
+        assert P is P0
+
+    @pytest.mark.parametrize("delta, status", [(3e-14, "converged"), (5e-4, "converged"),
+                                               (1e-3, "stalled")])
+    def test_refused_move_short_by_less_than_epsilon_converges(self, delta, status):
+        # a candidate below F is refused either way, and the trace repeats
+        # the start; a shortfall under epsilon is roundoff at the optimum
+        obj = ShortBy(sym_matrix(37), delta)
+        P0 = us_random(4, seed=7)
+        P, tr = optimize_us(obj, P0, OptimizerConfig(epsilon=1e-3))
+        assert tr.status == status
+        assert tr.iterations == 1
+        assert tr.values.tolist() == [0.0, 0.0]
         assert tr.records[1].residual == tr.records[0].residual
         assert P is P0
 

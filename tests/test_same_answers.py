@@ -1,8 +1,8 @@
 """tools/same_answers.py on a tiny spec: the working tree against itself
 is identical, its one-ulp floor is reported, and a changed rate is
-reported, row by row and per cell; so are each side's residual
-measurements and drift repairs; its net line count of src/unisym is +0
-against itself."""
+reported, row by row and per cell, as is a changed converged value; so
+are each side's residual measurements and drift repairs; its net line
+count of src/unisym is +0 against itself."""
 
 import csv
 import importlib.util
@@ -40,6 +40,8 @@ def test_working_tree_against_itself_then_a_changed_rate(tmp_path):
     with open(path, newline="") as fh:
         rows = list(csv.reader(fh))
     rows[1][4] = repr(float(rows[1][4]) + 1e-9)
+    assert rows[2][-1] == "true"
+    rows[2][-1] = "false"
     with open(path, "w", newline="") as fh:
         csv.writer(fh).writerows(rows)
     (tmp_path / "new" / "counts.json").unlink()    # as from a source without the names
@@ -51,6 +53,9 @@ def test_working_tree_against_itself_then_a_changed_rate(tmp_path):
     assert f"  rate differs: {method}/{M}/{trial}: |d| 1e-09" in lines
     assert f"  max |d rate_bits| {method}: 1e-09" in lines
     assert sum(line.startswith("  rate differs:") for line in lines) == 1
+    # a flipped converged cell is named with both values
+    assert f"  converged differs: {'/'.join(rows[2][:3])}: true -> false" in lines
+    assert sum(line.startswith("  converged differs:") for line in lines) == 1
     # the moved row's cell: its other trial is unchanged
     assert f"  cell {method}/{M}: mean d rate_bits +5e-10, range +0 to +1e-09 over 2 trials" in lines
     assert sum(line.startswith("  cell ") for line in lines) == 1

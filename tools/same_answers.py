@@ -3,7 +3,7 @@
 
     python3 tools/same_answers.py <git-ref>
 
-Runs five fixed run specs through `unisym.harness.run_experiment` on two
+Runs six fixed run specs through `unisym.harness.run_experiment` on two
 sides, each in its own interpreter: once on the `src/` of a `git archive`
 copy of <git-ref>, once on the working tree's `src/`. Each output file is
 compared byte for byte once its `wall_ms` column is dropped. The report
@@ -11,10 +11,11 @@ names, per spec, the files that differ, the largest |delta rate_bits|,
 each (method, M, trial) row whose rate_bits differ with its |delta|, the
 largest |delta| per method, for each (method, M) cell with a moved row
 the mean and the range of the per-trial differences (new minus base),
-the rows whose iteration counts differ, the error rows on either side,
-and on each side the count of exact unitarity residual measurements
-(`linalg._unitarity_residual` calls) and of drift repairs
-(`linalg._restore_unitary` calls), "n/a" where the source lacks the name.
+the rows whose iteration counts or `converged` values differ, the error
+rows on either side, and on each side the count of exact unitarity
+residual measurements (`linalg._unitarity_residual` calls) and of drift
+repairs (`linalg._restore_unitary` calls), "n/a" where the source lacks
+the name.
 Beside each spec's figures it prints the base's one-ulp floor: a third
 run, of the base with each spec's rho nudged one ulp up, gives the
 largest |delta rate_bits| and the per-cell range that so small a change
@@ -47,6 +48,7 @@ SPECS = {
     "link_8x2": {"nr": 8, "nt": 2, "sweep": [16, 32], "trials": 4, "seed0": 7},
     "link_2x8": {"nr": 2, "nt": 8, "sweep": [16, 32], "trials": 4, "seed0": 7},
     "large": {"sweep": [128, 256], "trials": 3, "seed0": 11, "methods": ["mo_us"]},
+    "edge_m": {"nr": 8, "nt": 2, "sweep": [1, 2, 3], "trials": 6, "seed0": 0},
 }
 
 # the linalg calls counted per spec and side, by their names in the report
@@ -190,7 +192,7 @@ def compare_outputs(base: Path, new: Path, names, floor: Path | None = None
 
         rows_a, rows_b = _results(base / name), _results(new / name)
         cells = _cell_deltas(rows_a, rows_b)
-        moved, iters = [], []
+        moved, iters, status = [], [], []
         for key in [k for k in rows_a if k in rows_b]:
             ra, rb = rows_a[key], rows_b[key]
             if ra["rate_bits"] != rb["rate_bits"]:
@@ -198,6 +200,8 @@ def compare_outputs(base: Path, new: Path, names, floor: Path | None = None
                 moved.append(f"{'/'.join(key)}: |d| {abs(d):.3g}")
             if ra["iterations"] != rb["iterations"]:
                 iters.append(f"{'/'.join(key)}: {ra['iterations']} -> {rb['iterations']}")
+            if ra["converged"] != rb["converged"]:
+                status.append(f"{'/'.join(key)}: {ra['converged']} -> {rb['converged']}")
         per_method = {}     # method -> max |d rate_bits| over its moved rows
         for (m, _), ds in cells.items():
             if any(ds):
@@ -217,6 +221,7 @@ def compare_outputs(base: Path, new: Path, names, floor: Path | None = None
                   f"range {min(ds):+.3g} to {max(ds):+.3g} over {len(ds)} trials"
                   for (m, M), ds in cells.items() if any(ds)]
         lines += [f"  iterations differ: {s}" for s in iters]
+        lines += [f"  converged differs: {s}" for s in status]
         for side, rows in (("base", rows_a), ("new", rows_b)):
             lines += [f"  error row ({side}): {'/'.join(k)}"
                       for k, r in rows.items() if r["converged"] == "error"]
