@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import NumericalError, _check_count, takagi
+from .linalg import NumericalError, _check_count, _complete_q, takagi
 from .manifold import (
     GeodesicFrame,
     UPoint,
@@ -395,19 +395,22 @@ def low_cost_bdris(ch: ChannelSet) -> UsPoint:
 
     The columns of T lie in range([F^H, G^T]), which the first
     k = min(m, nr + nt) columns Yk of a complete QR factor Y of [F^H, G^T]
-    span, or contain when F or G is rank-deficient. The Takagi factor of
-    the k x k matrix Yk^H T conj(Yk), mapped back by Yk and completed by
-    the other columns of Y, is a nearest point, at O(m^2 (nr + nt)) rather
-    than O(m^3). Any unitary completion is as near, and F and G^*
-    annihilate it, so the channel does not depend on the choice.
+    span, or contain when F or G is rank-deficient. The Takagi factor Qc
+    of the k x k matrix Yk^H T conj(Yk), mapped back by Yk and completed by
+    the other columns of Y, is a nearest point: Yk Qc is written over Yk in
+    place. Y comes from linalg._complete_q, one level-3 product from
+    M = 128 on, so the whole design costs O(m^2 (nr + nt)) rather than
+    O(m^3). Any unitary completion is as near, and F and G^* annihilate
+    it, so the channel does not depend on the choice.
     """
     if not np.any(ch.Hd):
         raise InapplicableMethodError("low-cost surface needs a direct link (Hd is zero)")
-    Y, _ = np.linalg.qr(np.hstack((ch.F.conj().T, ch.G.T)), mode="complete")
+    Y = _complete_q(np.hstack((ch.F.conj().T, ch.G.T)))
     k = min(ch.m, ch.Hd.shape[0] + ch.Hd.shape[1])
     Yk = Y[:, :k]
     C = (ch.F @ Yk).conj().T @ ch.Hd @ (ch.G @ Yk.conj())    # Yk^H A conj(Yk)
-    return UsPoint(Q=np.hstack((Yk @ takagi(C + C.T).Q, Y[:, k:])))
+    Y[:, :k] = Yk @ takagi(C + C.T).Q
+    return UsPoint(Q=Y)
 
 
 def mo_u_proj_baseline(ch: ChannelSet, rho: float, U0: UPoint,

@@ -10,7 +10,10 @@ and the optimizers apply, lives here too: a factor whose residual
 step, and one that step cannot mend raises NumericalError. So do the
 roundoff bounds by which a frame step carries that residual from its
 parent instead of measuring it (Higham, Accuracy and Stability of
-Numerical Algorithms, sections 3.5-3.6).
+Numerical Algorithms, sections 3.5-3.6). The complete QR factors of
+the low-cost design and of Takagi's zero-group completion come from
+`_complete_q`: LAPACK's factor below 128 rows, and one compact-WY
+level-3 product of its Householder reflectors from 128 rows on.
 """
 
 from __future__ import annotations
@@ -25,6 +28,11 @@ import numpy as np
 DRIFT_TOL = 1e-8
 
 _UNIT_ROUNDOFF = np.finfo(float).eps / 2
+
+# Row count from which _complete_q builds its factor by one level-3
+# product; measured on one BLAS thread, the crossover lies between 64 and
+# 128 rows for 8 to 64 columns.
+_WY_MIN_ROWS = 128
 
 
 class NumericalError(RuntimeError):
@@ -117,6 +125,37 @@ def _restore_unitary(Q: np.ndarray, what: str) -> tuple[np.ndarray, float]:
     return Q, res
 
 
+def _complete_q(X: np.ndarray) -> np.ndarray:
+    """The complete m x m unitary factor Y of X = Y R, for an m x k X.
+
+    From _WY_MIN_ROWS rows on, Y = H_1 ... H_p is built from the
+    p = min(m, k) Householder reflectors H_i = I - tau_i v_i v_i^H of
+    np.linalg.qr(X, mode="raw") in compact WY form, Y = I - V T V^H
+    (Schreiber and Van Loan, SIAM J. Sci. Stat. Comput. 10, 1989): V is
+    unit lower trapezoidal and T upper triangular by LAPACK's larft
+    recurrence, T[:i, i] = -tau_i T[:i, :i] V[:, :i]^H v_i, which gives a
+    reflector with tau_i = 0 a zero column. Its m x m work is one level-3
+    product, where LAPACK's complete factor applies the reflectors one at
+    a time (level 2). Below _WY_MIN_ROWS rows the recurrence's fixed cost
+    outweighs that saving, and Y is np.linalg.qr(X, mode="complete")[0].
+    Both give the same factor up to roundoff.
+    """
+    m = X.shape[0]
+    if m < _WY_MIN_ROWS:
+        return np.linalg.qr(X, mode="complete")[0]
+    h, tau = np.linalg.qr(X, mode="raw")     # h holds the reflectors transposed
+    p = tau.size
+    V = np.tril(h[:p].T, -1)
+    np.fill_diagonal(V, 1.0)
+    W = (V.conj().T @ V) * -tau
+    T = np.diag(tau)
+    for i in range(1, p):
+        T[:i, i] = T[:i, :i] @ W[:i, i]
+    Y = (V @ -T) @ V.conj().T
+    Y.reshape(-1)[::m + 1] += 1.0
+    return Y
+
+
 def eig_real_symmetric(R: np.ndarray) -> RealSymEig:
     """Eigendecomposition R = V diag(lam) V^T of a real symmetric matrix.
 
@@ -149,9 +188,10 @@ def takagi(A: np.ndarray) -> TakagiFactors:
 
     Columns with sigma <= 1e-8 sigma_max, where +-sigma meet, become an
     orthonormal completion of the rest (I when A = 0), which A does not
-    see. Just above that bound a column can lean toward j times another;
-    the drift rule (_restore_unitary) then mends Q by one polar step,
-    which moves Q diag(sigma) Q^T by O(eps ||A||). Each column has
+    see: the trailing columns of the rest's complete QR factor
+    (_complete_q). Just above that bound a column can lean toward j times
+    another; the drift rule (_restore_unitary) then mends Q by one polar
+    step, which moves Q diag(sigma) Q^T by O(eps ||A||). Each column has
     Re q_1 >= 0, so a 1 x 1 A keeps the principal branch, its phase
     halved into [-pi/2, pi/2].
 
@@ -182,7 +222,7 @@ def takagi(A: np.ndarray) -> TakagiFactors:
     Q = (V[:n] + 1j * V[n:]) * np.where(V[:1] < 0.0, -1.0, 1.0)
     r = np.count_nonzero(sigma > 1e-8 * sigma.max(initial=0.0))
     if r < n:
-        Q[:, r:] = np.linalg.qr(Q[:, :r], mode="complete")[0][:, r:]
+        Q[:, r:] = _complete_q(Q[:, :r])[:, r:]
     if not _unitarity_residual(Q) <= DRIFT_TOL:
         Q = _restore_unitary(Q, "Takagi factor")[0]
     return TakagiFactors(Q=Q, sigma=sigma)

@@ -38,6 +38,7 @@ from unisym.bdris import (
     rate_bits,
 )
 from unisym.harness import METHODS
+import unisym.bdris
 import unisym.linalg
 from unisym.linalg import DRIFT_TOL, NumericalError, expm_skew_hermitian
 from unisym.manifold import (
@@ -1054,6 +1055,22 @@ class TestLowCost:
             assert np.linalg.norm(T - U) == pytest.approx(
                 np.linalg.norm(T - oracle.U), abs=1e-12 * math.sqrt(M))
             assert rate(ch, U, sc.rho) == pytest.approx(rate(ch, oracle, sc.rho), rel=1e-10)
+
+    @pytest.mark.parametrize("M", [128, 256])
+    @pytest.mark.parametrize("nr,nt,tol", [(4, 4, 1e-12), (8, 2, 1e-11)])
+    def test_matches_the_design_on_lapack_complete_factor(self, nr, nt, tol, M, monkeypatch):
+        # from M = 128 on, the complete factor is built from its reflectors
+        # by one product; the design on LAPACK's own factor is the oracle.
+        # On an 8 x 2 link six of the ten Takagi columns are a zero group
+        # inside the channel's span, which roundoff picks: a one-ulp nudge
+        # of F alone moves these rates by up to 2.9e-12 bits (20 draws at
+        # M = 256), against 2.8e-14 on a 4 x 4 link
+        sc = Scenario(nr=nr, nt=nt, m=M)
+        ch = gen_channels(sc, seed=M + nr)
+        bits = rate_bits(ch, low_cost_bdris(ch), sc.rho)
+        monkeypatch.setattr(unisym.bdris, "_complete_q",
+                            lambda X: np.linalg.qr(X, mode="complete")[0])
+        assert abs(bits - rate_bits(ch, low_cost_bdris(ch), sc.rho)) <= tol
 
     def test_takagi_sees_only_the_channel_subspace(self, monkeypatch):
         import unisym.bdris

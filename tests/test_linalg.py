@@ -1,4 +1,5 @@
-"""Kernel-level tests: symmetric eigendecomposition, Takagi, expm.
+"""Kernel-level tests: complete QR factor, symmetric eigendecomposition,
+Takagi, expm.
 
 Expected values come either from trivial closed forms or from independent
 oracles (residual identities, a scaling-and-squaring Taylor evaluation of
@@ -10,6 +11,7 @@ import pytest
 
 from unisym.linalg import (
     NumericalError,
+    _complete_q,
     eig_real_symmetric,
     expm_skew_hermitian,
     takagi,
@@ -37,6 +39,55 @@ def expm_taylor(S, squarings=20, terms=30):
     for _ in range(squarings):
         out = out @ out
     return out
+
+
+class TestCompleteQ:
+    """_complete_q against LAPACK's complete factor, on both sides of its
+    switch at 128 rows: below it they are one call, from it on the factor
+    is built from LAPACK's reflectors by one product."""
+
+    @pytest.mark.parametrize("cplx", [False, True])
+    @pytest.mark.parametrize("m", [1, 16, 127, 128, 256])
+    @pytest.mark.parametrize("k", [0, 1, 8, 16, "m+3"])
+    def test_matches_lapack(self, m, k, cplx):
+        k = m + 3 if k == "m+3" else k
+        rng = np.random.default_rng(m + k)
+        X = crandn(rng, m, k) if cplx else rng.standard_normal((m, k))
+        Y = _complete_q(X)
+        assert Y.shape == (m, m) and Y.dtype == X.dtype
+        if k == 0:
+            np.testing.assert_array_equal(Y, np.eye(m))
+        assert np.abs(Y - np.linalg.qr(X, mode="complete")[0]).max() <= 1e-12
+        assert np.linalg.norm(Y @ Y.conj().T - np.eye(m)) <= 1e-12
+
+    @pytest.mark.parametrize("cplx", [False, True])
+    @pytest.mark.parametrize("m", [16, 128, 256])
+    def test_zero_and_repeated_columns(self, m, cplx):
+        # a zero column gives its reflector tau = 0; a repeated one leaves
+        # X rank-deficient, its reflector made from roundoff
+        rng = np.random.default_rng(m)
+        X = crandn(rng, m, 8) if cplx else rng.standard_normal((m, 8))
+        X[:, 3] = 0.0
+        X[:, 5] = X[:, 2]
+        assert np.count_nonzero(np.linalg.qr(X, mode="raw")[1] == 0.0) >= 1
+        Y = _complete_q(X)
+        assert np.abs(Y - np.linalg.qr(X, mode="complete")[0]).max() <= 1e-12
+        assert np.linalg.norm(Y @ Y.conj().T - np.eye(m)) <= 1e-12
+        R = Y.conj().T @ X
+        assert np.linalg.norm(np.tril(R, -1)) <= 1e-12 * np.linalg.norm(X)
+
+    def test_the_row_count_picks_the_path(self, monkeypatch):
+        modes = []
+        real_qr = np.linalg.qr
+
+        def recording(X, mode):
+            modes.append(mode)
+            return real_qr(X, mode=mode)
+
+        monkeypatch.setattr(np.linalg, "qr", recording)
+        for m in (127, 128):
+            _complete_q(np.ones((m, 2)))
+        assert modes == ["complete", "raw"]
 
 
 class TestEigRealSymmetric:
@@ -134,6 +185,18 @@ class TestTakagi:
         np.testing.assert_allclose(sigma, [3.0, 0.0], atol=1e-14)
         np.testing.assert_allclose(Q @ np.diag(sigma) @ Q.T, A, atol=1e-12)
         assert np.linalg.norm(Q @ Q.conj().T - np.eye(2)) < 1e-10
+
+    @pytest.mark.parametrize("n", [8, 160])
+    def test_zero_group_is_an_orthonormal_completion(self, n):
+        # rank 5: the n - 5 zero columns complete the rest, on both sides
+        # of _complete_q's switch to the reflector product
+        rng = np.random.default_rng(n)
+        U = haar_unitary(rng, n)[:, :5]
+        A = (U * np.array([5.0, 4.0, 3.0, 2.0, 1.0])) @ U.T
+        rec, unit, sigma = takagi_residuals(A)
+        assert np.all(sigma[5:] <= 1e-12)
+        assert rec <= 1e-12 * np.linalg.norm(A)
+        assert unit <= 1e-12
 
     def test_negative_identity_up_to_roundoff(self):
         # O diag(-2, -2) O^T is -2I up to 1e-15; a principal square root of

@@ -3,7 +3,7 @@
 
     python3 tools/same_answers.py <git-ref>
 
-Runs six fixed run specs through `unisym.harness.run_experiment` on two
+Runs seven fixed run specs through `unisym.harness.run_experiment` on two
 sides, each in its own interpreter: once on the `src/` of a `git archive`
 copy of <git-ref>, once on the working tree's `src/`. Each output file is
 compared byte for byte once its `wall_ms` column is dropped. The report
@@ -49,6 +49,8 @@ SPECS = {
     "link_2x8": {"nr": 2, "nt": 8, "sweep": [16, 32], "trials": 4, "seed0": 7},
     "large": {"sweep": [128, 256], "trials": 3, "seed0": 11, "methods": ["mo_us"]},
     "edge_m": {"nr": 8, "nt": 2, "sweep": [1, 2, 3], "trials": 6, "seed0": 0},
+    "large_closed": {"sweep": [128, 256], "trials": 3, "seed0": 13,
+                     "methods": ["low_cost", "mo_u_proj"]},
 }
 
 # the linalg calls counted per spec and side, by their names in the report
