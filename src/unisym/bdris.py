@@ -5,6 +5,13 @@ The reconfigurable surface response is a unitary symmetric matrix Theta;
 the equivalent channel is H_eq = Hd + F Theta G^H and the objective is
 the achievable rate ln det(I + rho H_eq H_eq^H) in nats (bits exposed as
 nats / ln 2).
+
+The surface reaches the channel only through F Theta G^H, so both
+baselines work in the at most (nr + nt)-dimensional subspace that F and G
+see: the low-cost design takes its Takagi factor there, and the
+projection baseline runs its ascent on U(m) as the same ascent on a
+k x k problem, k = min(m, nr + nt), since its iterates never leave one
+such subspace.
 """
 
 from __future__ import annotations
@@ -15,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import NumericalError, _check_count, _complete_q, takagi
+from .linalg import DRIFT_TOL, NumericalError, _check_count, _complete_q, takagi
 from .manifold import (
     GeodesicFrame,
     UPoint,
@@ -206,7 +213,8 @@ def _gram_cholesky(ch: ChannelSet, Theta, rho: float, what: str) -> tuple[np.nda
     H = h_eq(ch, Theta)
     HH = H @ H.conj().T
     peak = max(HH.diagonal().real.tolist())
-    if not 2.0 * rho * peak < math.inf:     # negated, so that NaN fails too
+    # rho first: 2 rho alone overflows for rho above half the float range
+    if not 2.0 * (rho * peak) < math.inf:     # negated, so that NaN fails too
         raise NumericalError(f"{what} argument overflowed: rho = {rho:.3g} times "
                              f"max diag(H H^H) = {peak:.3g} leaves the float range")
     E = np.eye(H.shape[0]) + rho * HH
@@ -254,7 +262,8 @@ def _factors_of(ch: ChannelSet, rho: float, H: np.ndarray,
     real inner product with D, so the metric gradient carries the factor
     2. E^-1 = L^-H L^-1 is applied by two solves with L.
     """
-    X = 2.0 * rho * np.linalg.solve(L.conj().T, np.linalg.solve(L, H))
+    # rho first, as in _gram_cholesky's check
+    X = 2.0 * (rho * np.linalg.solve(L.conj().T, np.linalg.solve(L, H)))
     if X.shape[1] <= X.shape[0]:
         return ch.F.conj().T @ X, ch.G.conj().T
     return ch.F.conj().T, ch.G.conj().T @ X.conj().T
@@ -370,7 +379,8 @@ class RateObjective(Objective):
         ww = np.einsum("ij,ij->i", Wt.conj(), Wt).real
         uu = np.einsum("ij,ij->i", Ut.conj(), Ut).real
         b = float(np.linalg.norm(ch.Hd)) + float(np.sqrt(uu * ww).sum())
-        if not 2.0 * self.rho * b * b < math.inf:     # negated, so that NaN fails too
+        # rho first, as in _gram_cholesky's check
+        if not 2.0 * (self.rho * b * b) < math.inf:     # negated, so that NaN fails too
             raise NumericalError(f"phase sweep overflowed: rho = {self.rho:.3g} times "
                                  f"b^2 = {b * b:.3g} leaves the float range")
         live = [m for m in axes if m not in Fr.null]
@@ -417,10 +427,28 @@ def mo_u_proj_baseline(ch: ChannelSet, rho: float, U0: UPoint,
                        cfg: OptimizerConfig | None = None) -> tuple[UsPoint, IterationTrace]:
     """Optimize over plain unitary matrices, then project to the feasible set.
 
-    Runs the Armijo ascent on U(m) with the same rate objective and
-    returns the retraction of Theta_u + Theta_u^T together with the
-    ascent's trace.
+    Runs the Armijo ascent on U(m) from U0 with the rate objective and
+    returns the retraction of U + U^T together with the ascent's trace.
+
+    That ascent never leaves U0 (I + Z (G_k - I) Z^H), G_k in U(k), where
+    the m x k Z, k = min(m, nr + nt), is a thin QR factor of
+    [U0^H F^H, G^H]: at U the gradient's tangent S lies in
+    range([U^H F^H, G^H]), and a step U (I + V diag(e) V^H) with V in that
+    range maps U^H F^H back into it. As G Z Z^H = G, the channel there is
+    Hd + (F U0 Z) G_k (G Z)^H. So the ascent runs on that k x k problem
+    from G_k = I, with the same gradients, norms and Armijo tests in exact
+    arithmetic, and U is formed once, at O(m^2 k). The trace's residuals
+    are those of G_k; U0 is checked for unitarity here, as the ascent on
+    U(m) would check it.
     """
-    obj = RateObjective(ch, rho)
-    Pu, trace = optimize_u_armijo(obj, U0, cfg)
-    return us_retract(Pu.U + Pu.U.T), trace
+    residual = U0.max_residual()
+    if not residual <= DRIFT_TOL:    # negated, so that NaN fails too
+        raise ValueError(f"U0 is off the manifold: not unitary, residual {residual:.3e}")
+    FU0 = ch.F @ U0.U
+    Z = np.linalg.qr(np.hstack((FU0.conj().T, ch.G.conj().T)))[0]
+    reduced = ChannelSet(Hd=ch.Hd, F=FU0 @ Z, G=ch.G @ Z)
+    I = np.eye(Z.shape[1])
+    # the identity is exactly unitary: a carried bound of 0, nothing to measure
+    Pk, trace = optimize_u_armijo(RateObjective(reduced, rho), UPoint(I, bound=lambda: 0.0), cfg)
+    U = U0.U + (U0.U @ Z) @ (Pk.U - I) @ Z.conj().T
+    return us_retract(U + U.T), trace

@@ -44,6 +44,11 @@ EXTREME_SNR = {"rho_db": 3080.0, "pl0_db": 0.0, "tx_pos": [0.0, 0.0, 0.0],
 SWEEP_OVERFLOW = {**EXTREME_SNR, "rho_db": 3060.0, "sweep": [4, 16, 64], "trials": 2,
                   "max_iters": 30, "methods": ["mo_us"]}
 
+# rho above half the float range, 2 rho alone past it, on links whose
+# path loss keeps rho H H^H near 1e9: no overflow to report
+HUGE_RHO = {"rho_db": 3080.0, "pl0_db": 1480.0, "direct_blocked": True, "sweep": [16],
+            "trials": 2}
+
 
 def tiny_spec(out_dir, **over):
     values = {
@@ -284,6 +289,15 @@ class TestRunExperiment:
         errors = read_csv(result.output_dir / "errors.csv")
         assert [r[0] for r in errors[1:]] == list(spec.methods)
         assert all("argument overflowed" in r[4] for r in errors[1:])
+
+    def test_rho_past_half_the_float_range_gives_finite_rates(self, tmp_path):
+        # warnings are errors here; measured: mo_us 121.0-122.4 bits and
+        # mo_u_proj 118.1-119.1 bits
+        result = run_experiment(build_run_spec({**HUGE_RHO, "output_dir": str(tmp_path / "r")}))
+        assert [(r.method, r.converged) for r in result.rows] == \
+            [("mo_us", "true")] * 2 + [("mo_u_proj", "true")] * 2 + [("low_cost", "inapplicable")] * 2
+        assert all(110.0 < r.rate_bits < 130.0 for r in result.rows[:4])
+        assert not (result.output_dir / "errors.csv").exists()
 
     def test_sweep_overflow_becomes_error_rows(self, tmp_path):
         # warnings are errors here, so an overflow inside the sweep would

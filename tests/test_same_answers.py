@@ -1,8 +1,8 @@
 """tools/same_answers.py on a tiny spec: the working tree against itself
-is identical, its one-ulp floor is reported, and a changed rate is
-reported, row by row and per cell, as is a changed converged value; so
-are each side's residual measurements and drift repairs; its net line
-count of src/unisym is +0 against itself."""
+is identical, its two one-ulp floors (rho and Re F) are reported, and a
+changed rate is reported, row by row and per cell, as is a changed
+converged value; so are each side's residual measurements and drift
+repairs; its net line count of src/unisym is +0 against itself."""
 
 import csv
 import importlib.util
@@ -26,15 +26,26 @@ def test_working_tree_against_itself_then_a_changed_rate(tmp_path):
     floor = [line for line in lines if line.startswith("  base's one-ulp floor: ")]
     assert len(floor) == 1 and lines.index(floor[0]) == 1
     assert float(floor[0].rsplit(" ", 1)[1]) <= 1e-13
+    # the second floor, every Re F one ulp up, which low_cost reads too:
+    # reported after the first, at the same roundoff level, and from a run
+    # whose channels were nudged
+    floor_f = [line for line in lines if line.startswith("  base's one-ulp floor (Re F): ")]
+    assert len(floor_f) == 1 and lines.index(floor_f[0]) > 1
+    assert float(floor_f[0].rsplit(" ", 1)[1]) <= 1e-13
+    results = [same_answers._comparable(tmp_path / side / "tiny" / "results.csv")
+               for side in ("base", "floor_f")]
+    assert results[0] != results[1]
     # per side: the start point of each iterative trial and the Takagi
     # factor of each mo_u_proj and low_cost trial are measured, 4 x 2
     # trials, and no factor is repaired
     assert "  residual measurements: base 8, new 8; drift repairs: base 0, new 0" in lines
-    # a floor run identical to the base reads 0, with no cell lines
+    # floor runs identical to the base read 0, with no cell lines
     _, lines = same_answers.compare_outputs(tmp_path / "base", tmp_path / "new", TINY,
-                                            tmp_path / "base")
+                                            tmp_path / "base", tmp_path / "base")
     assert lines[1] == "  base's one-ulp floor: max |d rate_bits| 0"
-    assert not any(line.startswith("  base's one-ulp floor, cell") for line in lines)
+    assert lines[2] == "  base's one-ulp floor (Re F): max |d rate_bits| 0"
+    assert not any(line.startswith(("  base's one-ulp floor, cell",
+                                    "  base's one-ulp floor (Re F), cell")) for line in lines)
 
     path = tmp_path / "new" / "tiny" / "results.csv"
     with open(path, newline="") as fh:

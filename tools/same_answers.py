@@ -16,11 +16,13 @@ rows on either side, and on each side the count of exact unitarity
 residual measurements (`linalg._unitarity_residual` calls) and of drift
 repairs (`linalg._restore_unitary` calls), "n/a" where the source lacks
 the name.
-Beside each spec's figures it prints the base's one-ulp floor: a third
-run, of the base with each spec's rho nudged one ulp up, gives the
-largest |delta rate_bits| and the per-cell range that so small a change
-of input already causes. It also prints the net change in lines of
-`src/unisym/*.py`, new minus base. Exit status: 0 when every file is
+Beside each spec's figures it prints the base's two one-ulp floors: a
+third run, of the base with each spec's rho nudged one ulp up, and a
+fourth, with the real part of every entry of F nudged one ulp up, give
+the largest |delta rate_bits| and the per-cell range that so small a
+change of input already causes. Only the second reaches the low_cost
+design, which never reads rho. It also prints the net change in lines
+of `src/unisym/*.py`, new minus base. Exit status: 0 when every file is
 identical, 1 when any differs, 2 when the ref cannot be read or a side
 fails to run.
 """
@@ -57,8 +59,9 @@ SPECS = {
 COUNTED = {"_unitarity_residual": "residual measurements", "_restore_unitary": "drift repairs"}
 
 # run in a fresh interpreter with PYTHONPATH=<src>: argv = src, out root,
-# specs, and "ulp" to run each spec with its rho one ulp up; COUNTED's calls
-# are counted in every unisym module that binds them, into <out>/counts.json
+# specs, and "ulp" to run each spec with its rho one ulp up or "ulp_f" with
+# every Re F one ulp up; COUNTED's calls are counted in every unisym module
+# that binds them, into <out>/counts.json
 _RUNNER = """
 import json, math, sys
 from dataclasses import replace
@@ -69,6 +72,15 @@ from unisym.harness import build_run_spec, run_experiment
 src, out = Path(sys.argv[1]).resolve(), Path(sys.argv[2])
 if Path(unisym.__file__).resolve().parent != src / "unisym":
     sys.exit(f"imported unisym from {unisym.__file__}, not from {src}")
+def in_unisym(name, real, wrapper):
+    for mod in [m for n, m in sys.modules.items() if n.split(".")[0] == "unisym"]:
+        if getattr(mod, name, None) is real:
+            setattr(mod, name, wrapper)
+if sys.argv[4] == "ulp_f":
+    def nudged(*args, real=unisym.bdris.gen_channels, **kwargs):
+        ch = real(*args, **kwargs)
+        return replace(ch, F=np.nextafter(ch.F.real, math.inf) + 1j * ch.F.imag)
+    in_unisym("gen_channels", unisym.bdris.gen_channels, nudged)
 tally = {}
 for fn in json.loads(sys.argv[5]):
     real = getattr(unisym.linalg, fn, None)
@@ -77,9 +89,7 @@ for fn in json.loads(sys.argv[5]):
     def counted(*args, fn=fn, real=real, **kwargs):
         tally[fn] += 1
         return real(*args, **kwargs)
-    for mod in [m for n, m in sys.modules.items() if n.split(".")[0] == "unisym"]:
-        if getattr(mod, fn, None) is real:
-            setattr(mod, fn, counted)
+    in_unisym(fn, real, counted)
     tally[fn] = 0
 counts = {}
 for name, values in json.loads(sys.argv[3]).items():
@@ -101,12 +111,13 @@ _THREADS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
 def run_sides(base_src: Path, new_src: Path, specs: dict, workdir: Path) -> None:
     """Run every spec on both sources at once, into workdir/base and
     workdir/new, and on the base source with rho one ulp up, into
-    workdir/floor."""
+    workdir/floor, and with every Re F one ulp up, into workdir/floor_f."""
     env = {**os.environ, **{v: "1" for v in _THREADS}}
     workdir = workdir.resolve()
     procs = []
     for side, src, nudge in (("base", base_src.resolve(), "-"), ("new", new_src.resolve(), "-"),
-                             ("floor", base_src.resolve(), "ulp")):
+                             ("floor", base_src.resolve(), "ulp"),
+                             ("floor_f", base_src.resolve(), "ulp_f")):
         cmd = [sys.executable, "-c", _RUNNER, str(src), str(workdir / side), json.dumps(specs),
                nudge, json.dumps(list(COUNTED))]
         procs.append((side, subprocess.Popen(cmd, cwd=workdir, env={**env, "PYTHONPATH": str(src)},
@@ -168,14 +179,15 @@ def _counts(out: Path) -> dict:
     return json.loads(path.read_text(encoding="utf-8")) if path.exists() else {}
 
 
-def compare_outputs(base: Path, new: Path, names, floor: Path | None = None
-                    ) -> tuple[bool, list[str]]:
+def compare_outputs(base: Path, new: Path, names, floor: Path | None = None,
+                    floor_f: Path | None = None) -> tuple[bool, list[str]]:
     """Compare the output directories base/<name> and new/<name> per spec
-    name: (every file identical, report lines). floor, when given, holds
-    the outputs of the base source run with rho one ulp up; each spec then
-    also reports how far that nudge moves the base's rates, the noise
-    floor of its figures. Each spec reports the COUNTED calls of each side
-    from its counts.json, "n/a" where a side has no count."""
+    name: (every file identical, report lines). floor and floor_f, when
+    given, hold the outputs of the base source run with rho, and with
+    every Re F, one ulp up; each spec then also reports how far each nudge
+    moves the base's rates, the noise floors of its figures. Each spec
+    reports the COUNTED calls of each side from its counts.json, "n/a"
+    where a side has no count."""
     counts = {"base": _counts(base), "new": _counts(new)}
     lines = []
     n_same = n_all = 0
@@ -210,10 +222,13 @@ def compare_outputs(base: Path, new: Path, names, floor: Path | None = None
                 per_method[m] = max(per_method.get(m, 0.0), max(map(abs, ds)))
         lines.append(f"{name}: {len(files) - len(differ)} of {len(files)} files identical, "
                      f"max |d rate_bits| {_max_abs(cells):.3g}")
-        if floor is not None:
-            nudged = _cell_deltas(rows_a, _results(floor / name))
-            lines.append(f"  base's one-ulp floor: max |d rate_bits| {_max_abs(nudged):.3g}")
-            lines += [f"  base's one-ulp floor, cell {m}/{M}: range {min(ds):+.3g} to "
+        for label, nudge in (("", floor), (" (Re F)", floor_f)):
+            if nudge is None:
+                continue
+            nudged = _cell_deltas(rows_a, _results(nudge / name))
+            lines.append(f"  base's one-ulp floor{label}: max |d rate_bits| "
+                         f"{_max_abs(nudged):.3g}")
+            lines += [f"  base's one-ulp floor{label}, cell {m}/{M}: range {min(ds):+.3g} to "
                       f"{max(ds):+.3g} over {len(ds)} trials"
                       for (m, M), ds in nudged.items() if any(ds)]
         lines += [f"  differs: {f}" for f in differ]
@@ -244,7 +259,8 @@ def src_lines(src: Path) -> int:
 def compare(base_src: Path, new_src: Path, specs: dict, workdir: Path) -> tuple[bool, list[str]]:
     """Run specs on both sources under workdir and compare their outputs."""
     run_sides(base_src, new_src, specs, workdir)
-    return compare_outputs(workdir / "base", workdir / "new", specs, workdir / "floor")
+    return compare_outputs(workdir / "base", workdir / "new", specs, workdir / "floor",
+                           workdir / "floor_f")
 
 
 def archive_src(ref: str, dest: Path) -> Path:
