@@ -433,13 +433,14 @@ def mo_u_proj_baseline(ch: ChannelSet, rho: float, U0: UPoint,
     That ascent never leaves U0 (I + Z (G_k - I) Z^H), G_k in U(k), where
     the m x k Z, k = min(m, nr + nt), is a thin QR factor of
     [U0^H F^H, G^H]: at U the gradient's tangent S lies in
-    range([U^H F^H, G^H]), and a step U (I + V diag(e) V^H) with V in that
-    range maps U^H F^H back into it. As G Z Z^H = G, the channel there is
+    range([U^H F^H, G^H]), and S, skew-Hermitian, maps that range into
+    itself, as exp(-tS) does; so the step U exp(tS) keeps U^H F^H in it.
+    As G Z Z^H = G, the channel there is
     Hd + (F U0 Z) G_k (G Z)^H. So the ascent runs on that k x k problem
     from G_k = I, with the same gradients, norms and Armijo tests in exact
     arithmetic, and U is formed once, at O(m^2 k). The trace's residuals
-    are those of G_k; U0 is checked for unitarity here, as the ascent on
-    U(m) would check it.
+    are the measured ones of G_k; U0 is checked for unitarity here, as the
+    ascent on U(m) would check it.
     """
     residual = U0.max_residual()
     if not residual <= DRIFT_TOL:    # negated, so that NaN fails too
@@ -448,7 +449,6 @@ def mo_u_proj_baseline(ch: ChannelSet, rho: float, U0: UPoint,
     Z = np.linalg.qr(np.hstack((FU0.conj().T, ch.G.conj().T)))[0]
     reduced = ChannelSet(Hd=ch.Hd, F=FU0 @ Z, G=ch.G @ Z)
     I = np.eye(Z.shape[1])
-    # the identity is exactly unitary: a carried bound of 0, nothing to measure
-    Pk, trace = optimize_u_armijo(RateObjective(reduced, rho), UPoint(I, bound=lambda: 0.0), cfg)
+    Pk, trace = optimize_u_armijo(RateObjective(reduced, rho), UPoint(I), cfg)
     U = U0.U + (U0.U @ Z) @ (Pk.U - I) @ Z.conj().T
     return us_retract(U + U.T), trace

@@ -342,8 +342,9 @@ def bench(spec: RunSpec) -> tuple[list[BenchRow], Path]:
     median per-iteration core time, the median whole-iteration wall time,
     and the summed trial time. The core of mo_us is the gradient, tangent
     projection, eigendecomposition-and-frame and point update, without the
-    sweeps; the core of mo_u_proj is its whole Armijo step (frame,
-    line-search evaluations, drift check). A trial that fails (an error row
+    sweeps; the core of mo_u_proj is its whole Armijo step on the k x k
+    problem (gradient, projection, each candidate's exponential and
+    evaluation, drift check). A trial that fails (an error row
     of _run_trial) is counted in `failed` and left out of the timings; a
     cell whose trials all failed has nan timings. Non-iterative methods
     have no per-iteration cost and are skipped.

@@ -13,8 +13,9 @@ parent's residual and the frame's small factors, so that it needs no
 m x m Gram to pass the rule; a point with no step history is measured.
 
 The few operations on the plain unitary manifold needed by the projection
-baseline (tangent projection and geodesic steps on U(n)) live here too;
-its ascent steps along geodesics of a low-rank frame (u_geodesic_frame).
+baseline live here too: tangent projection and the geodesic step
+U exp(mu S) on U(n), whose points are measured. That baseline runs its
+ascent on U(k), k = min(m, nr + nt), where a k x k Gram is cheap.
 """
 
 from __future__ import annotations
@@ -26,20 +27,12 @@ from typing import Callable
 
 import numpy as np
 
-from .linalg import (DRIFT_TOL, _UNIT_ROUNDOFF, _check_count, _gamma, _gram_bound, _gram_defect,
-                     _step_bound, _unitarity_residual, eig_real_symmetric, expm_skew_hermitian,
-                     takagi)
+from .linalg import (DRIFT_TOL, _check_count, _gamma, _gram_bound, _gram_defect, _step_bound,
+                     _unitarity_residual, eig_real_symmetric, expm_skew_hermitian, takagi)
 
 # relative roundoff of the few flops per entry of an elementwise complex
 # product or squared modulus: sqrt(2) gamma_4
 _GAMMA_ENTRY = _gamma(2)
-
-
-def _carried_or_measured(bound: Callable[[], float] | None, A: np.ndarray) -> float:
-    """The carried bound when it is within DRIFT_TOL (NaN never is), else
-    the measured ||A A^H - I||_F."""
-    b = math.nan if bound is None else bound()
-    return b if b <= DRIFT_TOL else _unitarity_residual(A)
 
 
 @dataclass(frozen=True, eq=False)
@@ -64,7 +57,9 @@ class UsPoint:
 
     @cached_property
     def _residual(self) -> float:
-        return _carried_or_measured(self.bound, self.Q)
+        # the carried bound when it is within DRIFT_TOL (NaN never is)
+        b = math.nan if self.bound is None else self.bound()
+        return b if b <= DRIFT_TOL else _unitarity_residual(self.Q)
 
     def max_residual(self) -> float:
         """An upper bound on ||Q Q^H - I||_F, worked out once: the carried
@@ -135,42 +130,17 @@ class GeodesicFrame:
 
 @dataclass(frozen=True, eq=False)
 class UPoint:
-    """A point of the plain unitary manifold U(n); bound as for UsPoint,
-    from u_point_at."""
+    """A point of the plain unitary manifold U(n)."""
 
     U: np.ndarray
-    bound: Callable[[], float] | None = field(default=None, repr=False)
 
     @cached_property
     def _residual(self) -> float:
-        return _carried_or_measured(self.bound, self.U)
+        return _unitarity_residual(self.U)
 
     def max_residual(self) -> float:
-        """An upper bound on ||U U^H - I||_F, worked out once: the carried
-        bound when it is within DRIFT_TOL, else the measured residual."""
+        """The measured ||U U^H - I||_F, worked out once."""
         return self._residual
-
-
-@dataclass(frozen=True, eq=False)
-class UGeodesicFrame:
-    """Frame for the geodesic t -> U exp(tS) on U(n) along a tangent U S
-    whose S lives in the span of k orthonormal columns Z.
-
-    With S = Z S_k Z^H and
-    -j S_k = W diag(d) W^H, the frame stores U, V = Z W, UV = U V and d;
-    the geodesic is U + UV diag(e^{j t d} - 1) V^H, reached through
-    u_point_at. norm is ||S||_F. residual and defect are upper bounds on
-    ||U U^H - I||_F and ||V^H V - I||_F; NaN, as for a frame built by
-    hand, leaves every point of the frame to be measured.
-    """
-
-    U: np.ndarray
-    UV: np.ndarray
-    V: np.ndarray
-    d: np.ndarray
-    norm: float
-    residual: float = math.nan
-    defect: float = math.nan
 
 
 def as_matrix(point) -> np.ndarray:
@@ -313,68 +283,3 @@ def u_tangent_project(P: UPoint, J: np.ndarray) -> np.ndarray:
 def u_geodesic(P: UPoint, S: np.ndarray, mu: float) -> UPoint:
     """Geodesic step U exp(mu S) on U(n) along skew-Hermitian S."""
     return UPoint(U=P.U @ expm_skew_hermitian(mu * np.asarray(S)))
-
-
-def u_geodesic_frame(P: UPoint, A: np.ndarray, B: np.ndarray) -> UGeodesicFrame:
-    """Frame of the geodesic from P along the tangent projection of J = A B^H.
-
-    The projection is U S with S = (U^H J - J^H U)/2 = (C B^H - B C^H)/2,
-    C = U^H A, so S lives in the range of [C, B], of dimension at most
-    twice the width of the factors. A thin QR [C, B] = Z [R1, R2] gives
-    S = Z S_k Z^H with S_k = (R1 R2^H - R2 R1^H)/2, whose one Hermitian
-    eigendecomposition serves every step length; since
-    exp(tS) = I + Z (exp(t S_k) - I) Z^H, a step costs O(n^2 k), not an
-    n x n exponential. Neither J nor S is formed.
-    """
-    A, B = np.asarray(A), np.asarray(B)
-    if A.ndim != 2 or A.shape != B.shape or A.shape[0] != P.U.shape[0]:
-        raise ValueError(f"gradient factors of shapes {A.shape} and {B.shape} "
-                         f"do not fit a point of U({P.U.shape[0]})")
-    r = A.shape[1]
-    Z, R = np.linalg.qr(np.hstack((P.U.conj().T @ A, B)))
-    X = R[:, :r] @ R[:, r:].conj().T
-    Sk = (X - X.conj().T) / 2.0
-    d, W = np.linalg.eigh(-1j * Sk)
-    V = Z @ W
-    n = P.U.shape[0]
-    return UGeodesicFrame(U=P.U, UV=P.U @ V, V=V, d=d, norm=float(np.linalg.norm(Sk)),
-                          residual=_gram_bound(P.max_residual(), n, n), defect=_gram_defect(V))
-
-
-def _u_point_bound(r: float, defect: float, n: int, e: np.ndarray) -> float:
-    """Upper bound on the residual of fl(U + fl(fl(UV * e) V^H)) for U
-    with residual at most r and an n x k V with ||V^H V - I||_F <= defect.
-
-    The exact point is U G, G = I + V diag(e) V^H, and
-    G G^H - I = V [diag(2 Re e + |e|^2) + diag(e) (V^H V - I) diag(conj e)] V^H,
-    so r(G) <= ||V||_2^2 (||2 Re e + |e|^2||_2 + max|e|^2 defect). Delta
-    gathers the roundoff of UV (length n), of the scaling by e, of the
-    length-k product and of the sum; _gamma(n) covers each, as k <= n.
-    """
-    k = e.size
-    c = _gamma(n)
-    a = np.abs(e)
-    eps = float(a.max())                       # max |e|
-    a *= a
-    a += 2.0 * e.real                          # 2 Re e + |e|^2, off by gamma_4 (2|e| + |e|^2)
-    s = math.sqrt(a.dot(a)) + c * math.sqrt(k) * eps * (2.0 + eps)
-    v2 = 1.0 + defect                          # ||V||_2^2
-    vf = math.sqrt(k * v2)                     # ||V||_F
-    uf = math.sqrt(n * (1.0 + r))              # ||U||_F
-    e1 = c * uf * vf                           # UV
-    uv = math.sqrt(1.0 + r) * vf + e1          # ||UV||_F
-    e2 = c * uv * eps                          # UV * e
-    t = uv * eps + e2
-    e3 = c * t * vf                            # (UV * e) V^H
-    e4 = _UNIT_ROUNDOFF * (uf + t * math.sqrt(v2) + e3)    # U + ...
-    delta = (e1 * eps + e2) * math.sqrt(v2) + e3 + e4
-    return _step_bound(r, v2 * (s + eps * eps * defect), delta, n)
-
-
-def u_point_at(Fr: UGeodesicFrame, t: float) -> UPoint:
-    """The point U exp(tS) of the frame's geodesic at step length t. It
-    carries a bound on its residual from the frame's, worked out when
-    asked for."""
-    e = np.exp(1j * t * Fr.d) - 1.0
-    return UPoint(U=Fr.U + (Fr.UV * e) @ Fr.V.conj().T,
-                  bound=partial(_u_point_bound, Fr.residual, Fr.defect, Fr.U.shape[0], e))

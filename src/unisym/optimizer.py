@@ -1,6 +1,9 @@
 """Parameter-free Riemannian ascent on the unitary-symmetric manifold,
 plus an Armijo line-search ascent on the plain unitary manifold used by
-the projection baseline.
+the projection baseline. That ascent steps along the dense geodesic
+U exp(tS), one n x n Hermitian eigendecomposition per line-search
+candidate, and measures the residual of the candidate it accepts; the
+baseline runs it on U(k), k = min(m, nr + nt), so n is at most nr + nt.
 
 The main loop per iteration: Euclidean gradient J = A B^H from the
 objective's factors, tangent projection to get the real symmetric
@@ -30,8 +33,8 @@ from .manifold import (
     GeodesicFrame,
     UPoint,
     UsPoint,
-    u_geodesic_frame,
-    u_point_at,
+    u_geodesic,
+    u_tangent_project,
     us_geodesic_frame,
     us_point_at,
     us_tangent_project,
@@ -50,8 +53,8 @@ class Objective:
     grad_factors(point) returns the ambient gradient J under the real trace
     inner product (the directional derivative along a tangent B is
     Re tr(J^H B)) as a pair (A, B) of n x r matrices with J = A B^H.
-    optimize_us projects J = A B^H; optimize_u_armijo steps from the
-    factors, at O(n^2 r) per step when the gradient has low rank r.
+    Both optimizers form J = A B^H and project it; optimize_us also builds
+    its frame on the span of the factors.
 
     sweep(Fr, theta) is one coordinate-ascent pass over all frame phases in
     ascending index order, each update holding the others at their
@@ -92,12 +95,14 @@ class IterationRecord:
     wall_ms: float      # whole-iteration wall time
     # optimize_us: gradient + projection + frame (span QR, k x k
     # eigendecomposition, Q V, the real Gram V^T V) + update;
-    # optimize_u_armijo: the whole step (frame, line search, drift check).
+    # optimize_u_armijo: the whole step (gradient, projection, one
+    # exponential and valuation per line-search candidate, drift check).
     # The gradient reuses the factorization made in valuing the point
     core_ms: float
-    # certified upper bound on the iterate's ||Q Q^H - I||_F (||U U^H - I||_F
-    # on U(n)), carried from its parent; measured where that bound is not
-    # within DRIFT_TOL, and for the start point or a repaired one
+    # optimize_us: certified upper bound on the iterate's ||Q Q^H - I||_F,
+    # carried from its parent; measured where that bound is not within
+    # DRIFT_TOL, and for the start point or a repaired one.
+    # optimize_u_armijo: the measured ||U U^H - I||_F
     residual: float
 
 
@@ -235,18 +240,21 @@ def optimize_us(obj: Objective, U0: UsPoint,
 
 def _armijo_step(obj: Objective, P: UPoint, F: float):
     """One backtracking iteration of optimize_u_armijo; core_s is the whole
-    step: frame, line-search valuations and the drift check of _settle."""
+    step: gradient, projection S, each candidate U exp(tS) and its
+    valuation, and the drift check of _settle."""
     t_start = time.perf_counter()
-    Fr = u_geodesic_frame(P, *obj.grad_factors(P))
-    slope = Fr.norm ** 2  # <J, U S>_Re for the projected direction
+    A, B = obj.grad_factors(P)
+    S = u_tangent_project(P, A @ B.conj().T)
+    norm = float(np.linalg.norm(S))
+    slope = norm ** 2  # <J, U S>_Re for the projected direction
     t = 1.0
     for _ in range(ARMIJO_MAX_BACKTRACKS + 1):
-        cand = u_point_at(Fr, t)
+        cand = u_geodesic(P, S, t)
         F_new = float(obj.eval(cand))
         if F_new >= F + ARMIJO_SUFFICIENT_INCREASE * t * slope:
-            return _settle(obj, cand, F_new), Fr.norm, time.perf_counter() - t_start
+            return _settle(obj, cand, F_new), norm, time.perf_counter() - t_start
         t *= ARMIJO_CONTRACTION
-    return None, Fr.norm, time.perf_counter() - t_start
+    return None, norm, time.perf_counter() - t_start
 
 
 def optimize_u_armijo(obj: Objective, U0: UPoint,
@@ -258,5 +266,12 @@ def optimize_u_armijo(obj: Objective, U0: UPoint,
     (0.5), a sufficient-increase coefficient (1e-4), and a backtrack cap
     (30). Stops on |F_k - F_{k-1}| < epsilon, max_iters, or line-search
     failure (status "stalled").
+
+    Each line-search candidate U exp(tS) costs one n x n Hermitian
+    eigendecomposition, and the accepted one an n x n residual
+    measurement. mo_u_proj_baseline calls this on U(k),
+    k = min(m, nr + nt), where both are small; no harness method, CLI
+    path or benchmark workload calls it on a large U(n), where each
+    candidate would cost O(n^3).
     """
     return _ascend(obj, U0, cfg or OptimizerConfig(), _armijo_step)

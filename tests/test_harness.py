@@ -318,11 +318,11 @@ class TestRunExperiment:
         # with its errors.csv line, not a quietly replaced point
         import unisym.optimizer as opt
         from unisym.manifold import UPoint, UsPoint
-        us_exact, u_exact = opt.us_point_at, opt.u_point_at
+        us_exact, u_exact = opt.us_point_at, opt.u_geodesic
         monkeypatch.setattr(opt, "us_point_at",
                             lambda Fr, phases: UsPoint(Q=us_exact(Fr, phases).Q * (1 + 1e-2)))
-        monkeypatch.setattr(opt, "u_point_at",
-                            lambda Fr, t: UPoint(U=u_exact(Fr, t).U * (1 + 1e-2)))
+        monkeypatch.setattr(opt, "u_geodesic",
+                            lambda P, S, t: UPoint(U=u_exact(P, S, t).U * (1 + 1e-2)))
         result = run_experiment(tiny_spec(tmp_path / "r", methods=["mo_us", "mo_u_proj"]))
         assert [r.converged for r in result.rows] == ["error"] * 4
         errors = read_csv(result.output_dir / "errors.csv")

@@ -15,7 +15,6 @@ from unisym.manifold import (
     UPoint,
     UsPoint,
     u_geodesic,
-    u_geodesic_frame,
     u_random,
     u_tangent_project,
     us_geodesic_frame,
@@ -24,6 +23,7 @@ from unisym.manifold import (
     us_retract,
     us_tangent_project,
 )
+from unisym.optimizer import Objective, optimize_u_armijo
 
 
 def crandn(rng, *shape):
@@ -116,9 +116,11 @@ class TestUsTangentProject:
             u_tangent_project(u_random(4, seed=4), np.zeros((3, 3)))
         with pytest.raises(ValueError, match="dimension"):
             us_geodesic_frame(P, TangentDirection(R=np.zeros((3, 3))))
+        # gradient factors that do not fit the point: J = A B^H of another
+        # shape, or factors that do not multiply
         for A, B in ((np.zeros((3, 2)), np.zeros((3, 2))), (np.zeros((4, 2)), np.eye(4))):
-            with pytest.raises(ValueError, match="gradient factors"):
-                u_geodesic_frame(u_random(4, seed=4), A, B)
+            with pytest.raises(ValueError):
+                optimize_u_armijo(FixedFactors(A, B), u_random(4, seed=4))
 
     def test_embedded_vector_properties(self):
         # tangent characterization: U^H B + B^H U = 0 and B symmetric
@@ -264,6 +266,19 @@ class TestUsRetract:
         assert abs(P.U[0, 0] - 1.0) <= 1e-12
 
 
+class FixedFactors(Objective):
+    """A flat objective whose gradient factors are (A, B) at every point."""
+
+    def __init__(self, A, B):
+        self.factors = (A, B)
+
+    def eval(self, point):
+        return 0.0
+
+    def grad_factors(self, point):
+        return self.factors
+
+
 class TestUnitaryHelpers:
     def test_zero_gradient(self):
         P = u_random(4, seed=17)
@@ -308,3 +323,11 @@ class TestUnitaryHelpers:
         S = (B - B.conj().T) / 2
         P2 = u_geodesic(P, S, 0.7)
         assert P2.max_residual() < 1e-10
+
+    def test_residual_is_measured_once(self, monkeypatch):
+        import unisym.manifold as manifold
+        calls, real = [], manifold._unitarity_residual
+        monkeypatch.setattr(manifold, "_unitarity_residual", lambda A: calls.append(A) or real(A))
+        P = u_random(4, seed=22)
+        assert P.max_residual() == P.max_residual() == real(P.U) <= 1e-13
+        assert len(calls) == 1 and calls[0] is P.U

@@ -22,12 +22,9 @@ from unisym.linalg import DRIFT_TOL, NumericalError, _unitarity_residual
 from unisym.manifold import (
     GeodesicFrame,
     TangentDirection,
-    UGeodesicFrame,
     UPoint,
     UsPoint,
     as_matrix,
-    u_geodesic_frame,
-    u_point_at,
     u_random,
     us_geodesic_frame,
     us_point_at,
@@ -344,9 +341,9 @@ class TestOptimizeUArmijo:
         # refreshed point, never the value of the drifted candidate
         import unisym.optimizer as opt
         from unisym.manifold import UPoint
-        exact = opt.u_point_at
-        monkeypatch.setattr(opt, "u_point_at",
-                            lambda Fr, t: UPoint(U=exact(Fr, t).U * (1 + 1e-7)))
+        exact = opt.u_geodesic
+        monkeypatch.setattr(opt, "u_geodesic",
+                            lambda P, S, t: UPoint(U=exact(P, S, t).U * (1 + 1e-7)))
         rng = np.random.default_rng(29)
         B = (rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))) / np.sqrt(2)
         obj = LinearTrace(B + B.T)
@@ -381,9 +378,9 @@ class TestOptimizeUArmijo:
 
     def test_drift_one_step_cannot_mend_raises(self, monkeypatch):
         import unisym.optimizer as opt
-        exact = opt.u_point_at
-        monkeypatch.setattr(opt, "u_point_at",
-                            lambda Fr, t: UPoint(U=exact(Fr, t).U * (1 + 1e-2)))
+        exact = opt.u_geodesic
+        monkeypatch.setattr(opt, "u_geodesic",
+                            lambda P, S, t: UPoint(U=exact(P, S, t).U * (1 + 1e-2)))
         with pytest.raises(NumericalError, match="candidate point lost unitarity"):
             optimize_u_armijo(LinearTrace(sym_matrix(29)), u_random(4, seed=13))
 
@@ -405,7 +402,8 @@ def counted(monkeypatch, module, name):
 
 class TestCarriedResidual:
     """A frame step's point carries a bound on its residual; the drift rule
-    measures the residual only where that bound is not within DRIFT_TOL."""
+    measures the residual only where that bound is not within DRIFT_TOL.
+    Points of U(n) carry no bound and are always measured."""
 
     def test_a_bound_past_the_tolerance_falls_back_to_the_measurement(self, monkeypatch):
         # the start measures 1e-13 under DRIFT_TOL; one step's bound goes
@@ -414,16 +412,14 @@ class TestCarriedResidual:
         import unisym.optimizer as opt
         repairs = counted(monkeypatch, opt, "_restore_unitary")
         obj = LinearTrace(sym_matrix(47, n=64))
-        cfg = OptimizerConfig(epsilon=1e-9, max_iters=1)
-        for run, P0 in ((optimize_us, UsPoint(Q=near_tolerance(us_random(64, seed=7).Q))),
-                        (optimize_u_armijo, UPoint(U=near_tolerance(u_random(64, seed=7).U)))):
-            assert P0.max_residual() <= DRIFT_TOL
-            P, tr = run(obj, P0, cfg)
-            assert P is not P0 and tr.final_value > tr.values[0]
-            measured = _unitarity_residual(as_matrix(P) if run is optimize_u_armijo else P.Q)
-            assert P.bound() > DRIFT_TOL
-            assert P.max_residual() == measured <= DRIFT_TOL
-            assert tr.records[1].residual == measured
+        P0 = UsPoint(Q=near_tolerance(us_random(64, seed=7).Q))
+        assert P0.max_residual() <= DRIFT_TOL
+        P, tr = optimize_us(obj, P0, OptimizerConfig(epsilon=1e-9, max_iters=1))
+        assert P is not P0 and tr.final_value > tr.values[0]
+        measured = _unitarity_residual(P.Q)
+        assert P.bound() > DRIFT_TOL
+        assert P.max_residual() == measured <= DRIFT_TOL
+        assert tr.records[1].residual == measured
         assert repairs == []
 
     def test_a_hand_built_frame_gives_measured_points(self, monkeypatch):
@@ -431,14 +427,10 @@ class TestCarriedResidual:
         calls = counted(monkeypatch, manifold, "_unitarity_residual")
         Q = us_random(4, seed=3).Q
         P = us_point_at(GeodesicFrame(QR=Q, theta=np.zeros(4)), np.full(4, 0.3))
-        U = u_random(4, seed=3).U
-        V = np.eye(4, 2, dtype=complex)
-        Pu = u_point_at(UGeodesicFrame(U=U, UV=U @ V, V=V, d=np.array([1.0, -1.0]), norm=1.0), 0.5)
-        for point, A in ((P, P.Q), (Pu, Pu.U)):
-            assert math.isnan(point.bound())
-            assert point.max_residual() == point.max_residual() == _unitarity_residual(A)
-        # one measurement per point, cached
-        assert len(calls) == 2 and calls[0][0] is P.Q and calls[1][0] is Pu.U
+        assert math.isnan(P.bound())
+        assert P.max_residual() == P.max_residual() == _unitarity_residual(P.Q)
+        # one measurement, cached
+        assert len(calls) == 1 and calls[0][0] is P.Q
 
     def test_a_non_finite_factor_is_measured_and_lost(self):
         # a NaN in the parent's factor makes the frame's bound NaN, which
@@ -448,15 +440,11 @@ class TestCarriedResidual:
         Q[0, 0] = np.nan
         Fr = us_geodesic_frame(UsPoint(Q=Q), TangentDirection(R=sym_matrix(5).real))
         assert math.isnan(Fr.residual)
-        U = u_random(4, seed=3).U.copy()
-        U[0, 0] = np.nan
-        Fu = u_geodesic_frame(UPoint(U=U), np.ones((4, 1)), np.ones((4, 1)))
-        assert math.isnan(Fu.residual)
-        for cand in (us_point_at(Fr, np.full(4, 0.3)), u_point_at(Fu, 0.5)):
-            assert not cand.bound() <= DRIFT_TOL
-            assert not cand.max_residual() <= DRIFT_TOL
-            with pytest.raises(NumericalError, match="candidate point lost unitarity"):
-                _settle(ConstantObjective(), cand)
+        cand = us_point_at(Fr, np.full(4, 0.3))
+        assert not cand.bound() <= DRIFT_TOL
+        assert not cand.max_residual() <= DRIFT_TOL
+        with pytest.raises(NumericalError, match="candidate point lost unitarity"):
+            _settle(ConstantObjective(), cand)
 
 
 def fresh_interpreter_lines(code):
