@@ -340,33 +340,27 @@ class RateObjective(Objective):
         return _factors_of(self.channels, self.rho, *self._factored(point, "gradient"))
 
     def phase_maximizer(self, Fr: GeodesicFrame, theta: np.ndarray, m: int) -> float:
-        """The closed-form optimal phase of axis m, the others held at theta.
-
-        Never returns a phase worse than theta[m]. An axis of the frame's
-        null block keeps its current phase; any other axis, a flat one
-        (e.g. a column annihilated by F) included, gets -arg(alpha).
+        """The closed-form optimal phase of axis m < Fr.k, the others held at
+        theta. Never returns a phase worse than theta[m]. A flat axis (e.g.
+        a column annihilated by F) is solved like any other, to -arg(0) = 0.
         """
-        if isinstance(m, (int, np.integer)) and not 0 <= m < Fr.n:
-            raise ValueError(f"phase index {m} out of range for n={Fr.n}")
+        if isinstance(m, (int, np.integer)) and not 0 <= m < Fr.k:
+            raise ValueError(f"phase index {m} out of range for k={Fr.k}")
         _check_count(m, "m", least=0)    # a bool, a float or None is no index
         return float(self._sweep(Fr, Fr.phases(theta, "theta"), (m,))[m])
 
     def sweep(self, Fr: GeodesicFrame, theta: np.ndarray) -> np.ndarray:
-        return self._sweep(Fr, theta, range(Fr.n))
+        return self._sweep(Fr, theta, range(Fr.k))
 
     def _sweep(self, Fr: GeodesicFrame, theta: np.ndarray, axes) -> np.ndarray:
         """The closed-form updates of the given axes in order: the channel H
-        is built once and kept current by removing and re-adding each
-        axis's rank-one term u w^T, with one nr x nr solve, O(nr^2 nt), per
-        axis outside the frame's null block. Overwrites and returns theta.
+        is built once, from all n columns of Fr.QR with phase 1 on the
+        n - k that the frame carries, and kept current by removing and
+        re-adding each axis's rank-one term u w^T, with one nr x nr solve,
+        O(nr^2 nt), per axis. Overwrites and returns theta.
 
-        The null block Fr.null, the n - k axes that a frame built on the
-        gradient's span adds outside it (theta = 0), keeps its phases
-        unsolved: the channel cannot see those axes, as w = G^* QR_m = 0
-        when nt <= nr and u = F QR_m = 0 otherwise. So a sweep of
-        optimize_us solves at most k = min(n, 4 min(nr, nt)) axes. That
-        block is the only skip: every other axis is solved, and a frame
-        built without a span solves all n.
+        The frame of optimize_us has k = min(n, 4 min(nr, nt)) phases, so a
+        sweep solves that many axes on every link shape.
 
         A 2 rho b^2 past the float range, with b = ||Hd||_F + sum_j ||u_j||
         ||w_j|| bounding ||C||_2 at any phases, raises NumericalError up
@@ -375,7 +369,9 @@ class RateObjective(Objective):
         ch = self.channels
         Ut = (ch.F @ Fr.QR).T.copy()           # row m: u of axis m
         Wt = (ch.G.conj() @ Fr.QR).T.copy()    # row m: w of axis m
-        H = ch.Hd + (Ut.T * np.exp(1j * theta)) @ Wt
+        z = np.ones(Ut.shape[0], dtype=complex)
+        z[:theta.size] = np.exp(1j * theta)
+        H = ch.Hd + (Ut.T * z) @ Wt
         ww = np.einsum("ij,ij->i", Wt.conj(), Wt).real
         uu = np.einsum("ij,ij->i", Ut.conj(), Ut).real
         b = float(np.linalg.norm(ch.Hd)) + float(np.sqrt(uu * ww).sum())
@@ -383,15 +379,14 @@ class RateObjective(Objective):
         if not 2.0 * (self.rho * b * b) < math.inf:     # negated, so that NaN fails too
             raise NumericalError(f"phase sweep overflowed: rho = {self.rho:.3g} times "
                                  f"b^2 = {b * b:.3g} leaves the float range")
-        live = [m for m in axes if m not in Fr.null]
-        rows = np.array(live, dtype=np.intp)
+        rows = np.array(axes, dtype=np.intp)
         U, W = Ut[rows], Wt[rows]
-        # per live axis: u w^T, and I + rho ||w||^2 u u^H, the constant part
-        # of _phase_step's matrix
+        # per axis: u w^T, and I + rho ||w||^2 u u^H, the constant part of
+        # _phase_step's matrix
         UW = U[:, :, None] * W[:, None, :]
         base = np.eye(Ut.shape[1]) + (self.rho * ww[rows])[:, None, None] * (
             U[:, :, None] * U.conj()[:, None, :])
-        for m, uw, u, wc, base_m in zip(live, UW, U, W.conj(), base):
+        for m, uw, u, wc, base_m in zip(axes, UW, U, W.conj(), base):
             C = H - cmath.exp(1j * theta[m]) * uw
             theta[m] = _phase_step(C, u, wc, base_m, self.rho)
             H = C + cmath.exp(1j * theta[m]) * uw

@@ -98,32 +98,30 @@ class TangentDirection:
 class GeodesicFrame:
     """Frame for the geodesic through a point along a tangent direction.
 
-    With R = V diag(theta) V^T, the frame stores QR = Q V and theta; the
-    geodesic is U(mu) = QR diag(e^{j theta mu}) QR^T, reached through
-    us_point_at. A frame keeps all n axes: one built on a span of k
-    columns (us_geodesic_frame) has theta = 0 on its n - k null axes,
-    the positions that null records; it is empty for a frame built
-    without a span or by hand. residual is an upper bound on
-    ||QR QR^H - I||_F; NaN, as for a frame built by hand, leaves every
-    point of the frame to be measured.
+    With R = V diag(theta) V^T, the frame stores the n x n QR = Q V and the
+    k <= n phases theta of its first k columns; the geodesic is
+    U(mu) = QR diag(e^{j theta mu}, 1) QR^T, reached through us_point_at,
+    which carries the other n - k columns unchanged. residual is an upper
+    bound on ||QR QR^H - I||_F; NaN, as for a frame built by hand, leaves
+    every point of the frame to be measured.
     """
 
     QR: np.ndarray
     theta: np.ndarray
     residual: float = math.nan
-    null: range = range(0)
 
     @property
-    def n(self) -> int:
-        return self.QR.shape[0]
+    def k(self) -> int:
+        """The number of phases, the axes a step moves."""
+        return self.theta.size
 
     def phases(self, theta, name: str = "phases") -> np.ndarray:
-        """theta as a float copy, if it is a finite real vector of length n;
+        """theta as a float copy, if it is a finite real vector of length k;
         otherwise ValueError naming name and the shape."""
         theta = np.asarray(theta)
-        if (theta.dtype.kind not in "iuf" or theta.shape != (self.n,)
+        if (theta.dtype.kind not in "iuf" or theta.shape != (self.k,)
                 or not np.all(np.isfinite(theta))):
-            raise ValueError(f"{name} must be a finite real vector of shape ({self.n},), "
+            raise ValueError(f"{name} must be a finite real vector of shape ({self.k},), "
                              f"got {theta.dtype} of shape {theta.shape}")
         return theta.astype(float)
 
@@ -201,65 +199,60 @@ def us_geodesic_frame(P: UsPoint, D: TangentDirection,
     U(mu) = (Q V) diag(e^{j theta mu}) (Q V)^T.
 
     span, when given, is a real n x c matrix whose columns span a space
-    that holds range(D.R), the caller's contract. With one complete real
-    QR [Z, Z_perp] of span, Z its first k = min(n, c) columns,
-    D.R = Z (Z^T D.R Z) Z^T, so only the k x k middle factor
-    W diag(lam) W^T is eigendecomposed: V = [Z W+, Z_perp, Z W-] and
-    theta = [lam+, 0, lam-], still descending (lam+ >= 0 > lam-). The frame
-    keeps all n axes and records the n - k columns of Z_perp as its null
-    block. Without span this is the k = n case, Z = I, V = W.
+    that holds range(D.R), the caller's contract; a missing span is the
+    identity. With one complete real QR [Z, Z_perp] of span, Z its first
+    k = min(n, c) columns, D.R = Z (Z^T D.R Z) Z^T, so only the k x k
+    middle factor W diag(theta) W^T is eigendecomposed: V = [Z W, Z_perp],
+    theta descending, and the frame's k phases move the columns Z W alone.
+    The complete QR of the identity is exactly the identity, so without a
+    span V = W and the frame has all n phases.
     """
     if D.n != P.n:
         raise ValueError(f"direction dimension {D.n} != point dimension {P.n}")
-    R = D.R
-    if span is not None:
-        span = np.asarray(span)
-        if span.ndim != 2 or span.shape[0] != P.n or np.iscomplexobj(span):
-            raise ValueError(f"span must be a real matrix with {P.n} rows, got "
-                             f"{span.dtype} of shape {span.shape}")
-        Y = np.linalg.qr(span, mode="complete")[0]
-        k = min(P.n, span.shape[1])
-        Z = Y[:, :k]
-        R = Z.T @ R @ Z
-    V, theta = eig_real_symmetric(R)
-    null = range(0)
-    if span is not None:
-        p = np.count_nonzero(theta >= 0.0)
-        V = np.hstack((Z @ V[:, :p], Y[:, k:], Z @ V[:, p:]))
-        theta = np.concatenate((theta[:p], np.zeros(P.n - k), theta[p:]))
-        null = range(p, p + P.n - k)
+    n = P.n
+    span = np.eye(n) if span is None else np.asarray(span)
+    if span.ndim != 2 or span.shape[0] != n or np.iscomplexobj(span):
+        raise ValueError(f"span must be a real matrix with {n} rows, got "
+                         f"{span.dtype} of shape {span.shape}")
+    V = np.linalg.qr(span, mode="complete")[0]
+    Z = V[:, :min(n, span.shape[1])]
+    W, theta = eig_real_symmetric(Z.T @ D.R @ Z)
+    Z[:] = Z @ W    # V = [Z W, Z_perp]
     # QR = fl(Q V) = Q V + E, ||E||_F <= _gamma(n) ||Q||_F ||V||_F, with
     # ||Q||_F^2 <= n (1 + r(Q)); r(V) from the real Gram V^T V
-    n = P.n
     r_q, r_v = _gram_bound(P.max_residual(), n, n), _gram_defect(V)
     delta = _gamma(n) * n * math.sqrt((1.0 + r_q) * (1.0 + r_v))
-    return GeodesicFrame(QR=P.Q @ V, theta=theta, residual=_step_bound(r_q, r_v, delta, n),
-                         null=null)
+    return GeodesicFrame(QR=P.Q @ V, theta=theta, residual=_step_bound(r_q, r_v, delta, n))
 
 
 def _us_point_bound(r: float, z: np.ndarray) -> float:
-    """Upper bound on the residual of fl(QR diag(z)) for a frame factor QR
-    with residual at most r: r(diag(z)) = || |z|^2 - 1 ||_2, whose computed
-    entries are off by at most 3 _GAMMA_ENTRY, and each product QR_ij z_j
-    is off by a relative _GAMMA_ENTRY."""
-    n = z.size
+    """Upper bound on the residual of QR diag(z, 1), its first k = z.size
+    columns computed as fl(QR_j z_j), for a frame factor QR with residual
+    at most r: r(diag(z, 1)) = || |z|^2 - 1 ||_2, whose computed entries
+    are off by at most 3 _GAMMA_ENTRY, and each product QR_ij z_j is off
+    by a relative _GAMMA_ENTRY, on k columns of squared norm at most 1 + r."""
+    k = z.size
     d = np.abs(z)
     d *= d
     d -= 1.0
-    r_z = math.sqrt(d.dot(d)) + 3.0 * _GAMMA_ENTRY * math.sqrt(n)
-    delta = _GAMMA_ENTRY * math.sqrt(n * (1.0 + r) * (1.0 + r_z))
-    return _step_bound(r, r_z, delta, n)
+    r_z = math.sqrt(d.dot(d)) + 3.0 * _GAMMA_ENTRY * math.sqrt(k)
+    delta = _GAMMA_ENTRY * math.sqrt(k * (1.0 + r) * (1.0 + r_z))
+    return _step_bound(r, r_z, delta, k)
 
 
 def us_point_at(Fr: GeodesicFrame, phases: np.ndarray) -> UsPoint:
-    """Point of Us at the given per-axis phases in a geodesic frame.
+    """Point of Us at the given phases of a geodesic frame's k axes.
 
-    U = QR diag(e^{j phi}) QR^T, with the cached factor updated
-    multiplicatively as Q = QR diag(e^{j phi / 2}). The point carries a
-    bound on its residual from the frame's, worked out when asked for.
+    U = QR diag(e^{j phi}, 1) QR^T, with the cached factor updated
+    multiplicatively as Q = QR diag(e^{j phi / 2}, 1): the first k
+    columns are scaled, the other n - k carried unchanged. The point
+    carries a bound on its residual from the frame's, worked out when
+    asked for.
     """
     z = np.exp(0.5j * Fr.phases(phases))
-    return UsPoint(Q=Fr.QR * z[np.newaxis, :], bound=partial(_us_point_bound, Fr.residual, z))
+    Q = Fr.QR.copy()
+    np.multiply(Fr.QR[:, :z.size], z[np.newaxis, :], out=Q[:, :z.size])
+    return UsPoint(Q=Q, bound=partial(_us_point_bound, Fr.residual, z))
 
 
 def us_retract(A: np.ndarray) -> UsPoint:

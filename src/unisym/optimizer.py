@@ -12,9 +12,9 @@ phases with the gradient-step values, let the objective's sweep maximize
 over each phase one coordinate at a time, then move with the
 multiplicative factor update. No step size is ever chosen. R lies in the
 real span of Q^H A and Q^T B, so the frame takes a k x k eigh on that
-span, k = min(n, 4 r) for factors of width r, not an n x n one; the
-frame records the other n - k axes, which the step leaves still, as its
-null block.
+span, k = min(n, 4 r) for factors of width r, not an n x n one, and the
+frame holds the k phases of that span's axes; its step carries the other
+n - k columns of the frame unchanged.
 
 Each gradient is taken at the very point object last valued, so an
 objective that memoizes per point (RateObjective) factors it once.
@@ -56,8 +56,8 @@ class Objective:
     Both optimizers form J = A B^H and project it; optimize_us also builds
     its frame on the span of the factors.
 
-    sweep(Fr, theta) is one coordinate-ascent pass over all frame phases in
-    ascending index order, each update holding the others at their
+    sweep(Fr, theta) is one coordinate-ascent pass over the frame's Fr.k
+    phases in ascending index order, each update holding the others at their
     already-updated values. It may overwrite theta and returns the swept
     phases, and it may never decrease the objective. There is no numerical
     fallback: an objective brings its own per-phase maximizer.
@@ -207,7 +207,7 @@ def _us_step(obj: Objective, P: UsPoint, F: float):
     Fr = us_geodesic_frame(P, D, span=np.hstack((a.real, a.imag, b.real, b.imag)))
     core_s = time.perf_counter() - t_start
     # the gradient-step seed first; if it overshoots, redo from the current point
-    for theta in (np.mod(Fr.theta + np.pi, 2.0 * np.pi) - np.pi, np.zeros(Fr.n)):
+    for theta in (np.mod(Fr.theta + np.pi, 2.0 * np.pi) - np.pi, np.zeros(Fr.k)):
         theta = phase_sweep(obj, Fr, theta)
         t_update = time.perf_counter()
         cand = us_point_at(Fr, theta) if np.any(theta) else P
