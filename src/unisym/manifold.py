@@ -182,7 +182,9 @@ def us_tangent_project(P: UsPoint, J: np.ndarray) -> TangentDirection:
 
     Under the real trace inner product the projection has parameter
     R = Imag(Q^H (J + J^T) Q^*) / 2, the least-squares-closest tangent
-    vector to J.
+    vector to J. For J = A B^H it is the symmetric part of
+    Im(a) Re(b)^T - Re(a) Im(b)^T, a = Q^H A and b = Q^T B, which is how
+    optimize_us builds it, at O(n^2 r) and without forming J.
     """
     J = np.asarray(J)
     if J.shape != P.Q.shape:

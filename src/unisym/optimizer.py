@@ -5,15 +5,16 @@ U exp(tS), one n x n Hermitian eigendecomposition per line-search
 candidate, and measures the residual of the candidate it accepts; the
 baseline runs it on U(k), k = min(m, nr + nt), so n is at most nr + nt.
 
-The main loop per iteration: Euclidean gradient J = A B^H from the
-objective's factors, tangent projection to get the real symmetric
-direction R, eigendecompose R to open a geodesic frame, seed the frame
-phases with the gradient-step values, let the objective's sweep maximize
-over each phase one coordinate at a time, then move with the
+The main loop per iteration: project the Euclidean gradient J = A B^H
+to the real symmetric direction R = Im(a b^H + conj(b) a^T) / 2, built
+from the objective's factors as a = Q^H A and b = Q^T B at O(n^2 r)
+without forming J; eigendecompose R to open a geodesic frame, seed the
+frame phases with the gradient-step values, let the objective's sweep
+maximize over each phase one coordinate at a time, then move with the
 multiplicative factor update. No step size is ever chosen. R lies in the
-real span of Q^H A and Q^T B, so the frame takes a k x k eigh on that
-span, k = min(n, 4 r) for factors of width r, not an n x n one, and the
-frame holds the k phases of that span's axes; its step carries the other
+real span of a and b, so the frame takes a k x k eigh on that span,
+k = min(n, 4 r) for factors of width r, not an n x n one, and the frame
+holds the k phases of that span's axes; its step carries the other
 n - k columns of the frame unchanged.
 
 Each gradient is taken at the very point object last valued, so an
@@ -31,13 +32,13 @@ import numpy as np
 from .linalg import DRIFT_TOL, _check_count, _restore_unitary
 from .manifold import (
     GeodesicFrame,
+    TangentDirection,
     UPoint,
     UsPoint,
     u_geodesic,
     u_tangent_project,
     us_geodesic_frame,
     us_point_at,
-    us_tangent_project,
 )
 
 ARMIJO_CONTRACTION = 0.5
@@ -53,8 +54,8 @@ class Objective:
     grad_factors(point) returns the ambient gradient J under the real trace
     inner product (the directional derivative along a tangent B is
     Re tr(J^H B)) as a pair (A, B) of n x r matrices with J = A B^H.
-    Both optimizers form J = A B^H and project it; optimize_us also builds
-    its frame on the span of the factors.
+    optimize_u_armijo forms J = A B^H and projects it; optimize_us projects
+    from the factors without forming J, and builds its frame on their span.
 
     sweep(Fr, theta) is one coordinate-ascent pass over the frame's Fr.k
     phases in ascending index order, each update holding the others at their
@@ -93,8 +94,8 @@ class IterationRecord:
     value: float        # objective, nats
     grad_norm: float    # ||R||_F (or ||S||_F on U(n)); nan for the k=0 row
     wall_ms: float      # whole-iteration wall time
-    # optimize_us: gradient + projection + frame (span QR, k x k
-    # eigendecomposition, Q V, the real Gram V^T V) + update;
+    # optimize_us: gradient + projection from its factors + frame (span QR,
+    # k x k eigendecomposition, Q V, the real Gram V^T V) + update;
     # optimize_u_armijo: the whole step (gradient, projection, one
     # exponential and valuation per line-search candidate, drift check).
     # The gradient reuses the factorization made in valuing the point
@@ -199,11 +200,12 @@ def _us_step(obj: Objective, P: UsPoint, F: float):
     frame and factor update, not the sweep, checks or evaluations."""
     t_start = time.perf_counter()
     A, B = obj.grad_factors(P)
-    D = us_tangent_project(P, A @ B.conj().T)
-    grad_norm = D.norm()
-    # R = Im(a b^H + conj(b) a^T) / 2 with a = Q^H A, b = Q^T B, so range(R)
-    # lies in the real span of a and b: 4 r columns for factors of width r
+    # J = A B^H projects to R, the symmetric part of Im(a) Re(b)^T -
+    # Re(a) Im(b)^T with a = Q^H A, b = Q^T B: O(n^2 r), J never formed.
+    # range(R) lies in the real span of a and b: 4 r columns
     a, b = P.Q.conj().T @ A, P.Q.T @ B
+    D = TangentDirection(a.imag @ b.real.T - a.real @ b.imag.T)
+    grad_norm = D.norm()
     Fr = us_geodesic_frame(P, D, span=np.hstack((a.real, a.imag, b.real, b.imag)))
     core_s = time.perf_counter() - t_start
     # the gradient-step seed first; if it overshoots, redo from the current point
@@ -223,15 +225,16 @@ def optimize_us(obj: Objective, U0: UsPoint,
     """Ascent on the unitary-symmetric manifold without step-size tuning.
 
     Per iteration: the gradient J = A B^H from obj.grad_factors, projected
-    to R; the geodesic frame of R, built on the gradient's span; one
-    obj.sweep seeded with the frame's own gradient-step phases; and the new
-    point with its multiplicatively updated factor. The seeded pass can in
-    principle end below the current value; when that happens the sweep is
-    redone from the all-zeros phase vector, which reproduces the current
-    point and therefore cannot lose ground. Stops when |F_k - F_{k-1}| <
-    epsilon or at max_iters. A move that the redone pass still ends below
-    (roundoff) is refused, and the run ends "converged" when it fell short
-    by less than epsilon, "stalled" otherwise.
+    to R from its factors without forming J; the geodesic frame of R,
+    built on the gradient's span; one obj.sweep seeded with the frame's
+    own gradient-step phases; and the new point with its multiplicatively
+    updated factor. The seeded pass can in principle end below the
+    current value; when that happens the sweep is redone from the
+    all-zeros phase vector, which reproduces the current point and
+    therefore cannot lose ground. Stops when |F_k - F_{k-1}| < epsilon or
+    at max_iters. A move that the redone pass still ends below (roundoff)
+    is refused, and the run ends "converged" when it fell short by less
+    than epsilon, "stalled" otherwise.
 
     Returns the final point and a per-iteration trace with monotone values.
     """

@@ -1,9 +1,10 @@
 """tools/gate8_ratio.py: one bench run per side and call, interleaved, on
-a small spec, the per-side summary line, and exit status 2 for a ref that
-git cannot read."""
+a small spec, the thread settings a run is given, the per-side summary
+line, and exit status 2 for a ref that git cannot read."""
 
 import math
 import shutil
+import subprocess
 import sys
 from pathlib import Path
 
@@ -20,9 +21,9 @@ def test_interleaved_runs_give_a_ratio_per_side_and_run(monkeypatch, tmp_path):
     calls = []
     ratio = gate8_ratio.ratio
 
-    def recording(src, values):
+    def recording(src, values, pin):
         calls.append(src)
-        return ratio(src, values)
+        return ratio(src, values, pin)
 
     monkeypatch.setattr(gate8_ratio, "ratio", recording)
     src = ROOT / "src"
@@ -32,6 +33,27 @@ def test_interleaved_runs_give_a_ratio_per_side_and_run(monkeypatch, tmp_path):
     assert all(len(rs) == 2 and all(math.isfinite(r) and r > 0 for r in rs)
                for rs in out.values())
     assert calls == [src, copy, copy, src]
+
+
+def test_runs_pin_one_thread_unless_told_to_keep_the_callers(monkeypatch):
+    envs = []
+
+    def run(cmd, env, **kwargs):
+        envs.append(env)
+        return subprocess.CompletedProcess(cmd, 0, stdout="4.0\n", stderr="")
+
+    monkeypatch.setattr(gate8_ratio.subprocess, "run", run)
+    for v in gate8_ratio._THREADS:
+        monkeypatch.delenv(v, raising=False)
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "2")
+    src = ROOT / "src"
+    assert gate8_ratio.ratio(src, {}) == 4.0
+    assert gate8_ratio.ratio(src, {}, pin=False) == 4.0
+    pinned, caller = envs
+    assert all(pinned[v] == "1" for v in gate8_ratio._THREADS)
+    assert caller["OPENBLAS_NUM_THREADS"] == "2"
+    assert not any(v in caller for v in gate8_ratio._THREADS if v != "OPENBLAS_NUM_THREADS")
+    assert pinned["PYTHONPATH"] == caller["PYTHONPATH"] == str(src.resolve())
 
 
 def test_summary_line():

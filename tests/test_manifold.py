@@ -23,7 +23,7 @@ from unisym.manifold import (
     us_retract,
     us_tangent_project,
 )
-from unisym.optimizer import Objective, optimize_u_armijo
+from unisym.optimizer import Objective, optimize_u_armijo, optimize_us
 
 
 def crandn(rng, *shape):
@@ -121,6 +121,8 @@ class TestUsTangentProject:
         for A, B in ((np.zeros((3, 2)), np.zeros((3, 2))), (np.zeros((4, 2)), np.eye(4))):
             with pytest.raises(ValueError):
                 optimize_u_armijo(FixedFactors(A, B), u_random(4, seed=4))
+            with pytest.raises(ValueError):
+                optimize_us(FixedFactors(A, B), P)
 
     def test_embedded_vector_properties(self):
         # tangent characterization: U^H B + B^H U = 0 and B symmetric

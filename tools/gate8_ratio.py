@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Gate 8's 128/64 time ratio on a git ref and on the working tree.
 
-    python3 tools/gate8_ratio.py <git-ref> [--runs N]
+    python3 tools/gate8_ratio.py <git-ref> [--runs N] [--caller-threads]
 
 Gate 8 (`tests/test_acceptance.py`, criterion 8) times `mo_us` through
 `unisym.harness.bench` with sweep [64, 128] and 5 trials, and asks that
@@ -9,11 +9,13 @@ the ratio of the two cells' `median_iter_ms` lie between 3 and 16. This
 script runs that same `bench` call N times (16 by default) on each of two
 sides: on the `src/` of a `git archive` copy of <git-ref>, and on the
 working tree's `src/`. Each run is a fresh interpreter with one BLAS
-thread, and the runs interleave, the side that goes first alternating
-from run to run. Per side it prints the ratios in run order, then their
-min, quartiles, median and max, and how many fell below 3.0. The gate
-itself is not run. Exit status: 0, or 2 when the ref cannot be read or a
-run fails.
+thread, as CI runs the tests; with --caller-threads it inherits the
+caller's thread settings instead, as the tier-1 command does, which on
+a multi-core host leaves OpenBLAS free to thread. The runs interleave,
+the side that goes first alternating from run to run. Per side it prints
+the ratios in run order, then their min, quartiles, median and max, and
+how many fell below 3.0. The gate itself is not run. Exit status: 0, or
+2 when the ref cannot be read or a run fails.
 """
 
 from __future__ import annotations
@@ -50,11 +52,13 @@ print(repr(rows[-1].median_iter_ms / rows[0].median_iter_ms))
 """
 
 
-def ratio(src: Path, values: dict) -> float:
+def ratio(src: Path, values: dict, pin: bool = True) -> float:
     """One `bench` run of the spec values on the package under src: the
-    last cell's median_iter_ms over the first's. RuntimeError if it fails."""
+    last cell's median_iter_ms over the first's. pin runs it on one BLAS
+    thread, else under the caller's thread settings. RuntimeError if it
+    fails."""
     src = src.resolve()
-    env = {**os.environ, **{v: "1" for v in _THREADS}, "PYTHONPATH": str(src)}
+    env = {**os.environ, **({v: "1" for v in _THREADS} if pin else {}), "PYTHONPATH": str(src)}
     with tempfile.TemporaryDirectory() as cwd:
         proc = subprocess.run([sys.executable, "-c", _RUNNER, str(src), json.dumps(values)],
                               cwd=cwd, env=env, capture_output=True, text=True)
@@ -63,14 +67,14 @@ def ratio(src: Path, values: dict) -> float:
     return float(proc.stdout)
 
 
-def interleaved(sides: dict, runs: int, values: dict) -> dict:
+def interleaved(sides: dict, runs: int, values: dict, pin: bool = True) -> dict:
     """name -> the ratios of `runs` runs of each side's src, in run order;
     the first side goes first in even runs, last in odd ones."""
     out = {name: [] for name in sides}
     order = list(sides)
     for i in range(runs):
         for name in order if i % 2 == 0 else order[::-1]:
-            out[name].append(ratio(sides[name], values))
+            out[name].append(ratio(sides[name], values, pin))
     return out
 
 
@@ -87,13 +91,15 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("ref", help="git ref to compare the working tree with")
     parser.add_argument("--runs", type=int, default=16, help="runs per side (default 16)")
+    parser.add_argument("--caller-threads", action="store_true",
+                        help="run under the caller's BLAS thread settings, not one thread")
     args = parser.parse_args(argv)
     if args.runs < 1:
         parser.error("--runs must be at least 1")
     with tempfile.TemporaryDirectory() as tmp:
         try:
             sides = {args.ref: archive_src(args.ref, Path(tmp)), "working tree": ROOT / "src"}
-            ratios = interleaved(sides, args.runs, GATE8)
+            ratios = interleaved(sides, args.runs, GATE8, not args.caller_threads)
         except RuntimeError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 2
