@@ -28,7 +28,6 @@ from .manifold import (
     UPoint,
     UsPoint,
     _crandn,
-    as_matrix,
     us_retract,
 )
 from .optimizer import IterationTrace, Objective, OptimizerConfig, optimize_u_armijo
@@ -184,10 +183,11 @@ def h_eq(ch: ChannelSet, Theta) -> np.ndarray:
     """Equivalent end-to-end channel Hd + F Theta G^H.
 
     A UsPoint enters through its factor, as Hd + (F Q)(G^* Q)^T, so the
-    m x m matrix U = Q Q^T is never formed.
+    m x m matrix U = Q Q^T is never formed; a UPoint enters through U, and
+    a plain array as it is.
     """
     factor = isinstance(Theta, UsPoint)
-    A = Theta.Q if factor else as_matrix(Theta)
+    A = Theta.Q if factor else Theta.U if isinstance(Theta, UPoint) else np.asarray(Theta)
     if A.shape != (ch.m, ch.m):
         raise ValueError(f"Theta has shape {A.shape}, expected ({ch.m}, {ch.m})")
     if factor:
@@ -225,14 +225,10 @@ def _gram_cholesky(ch: ChannelSet, Theta, rho: float, what: str) -> tuple[np.nda
     return H, L
 
 
-def _log_det(L: np.ndarray) -> float:
-    """ln det E in nats from the Cholesky factor L of E."""
-    return float(2.0 * np.sum(np.log(np.real(np.diag(L)))))
-
-
 def rate(ch: ChannelSet, Theta, rho: float) -> float:
-    """Achievable rate ln det(I + rho H_eq H_eq^H) in nats, via Cholesky."""
-    return _log_det(_gram_cholesky(ch, Theta, rho, "rate")[1])
+    """Achievable rate ln det(I + rho H_eq H_eq^H) in nats, via Cholesky:
+    RateObjective(ch, rho).eval(Theta)."""
+    return RateObjective(ch, rho).eval(Theta)
 
 
 def rate_bits(ch: ChannelSet, Theta, rho: float) -> float:
@@ -241,32 +237,9 @@ def rate_bits(ch: ChannelSet, Theta, rho: float) -> float:
 
 def euclid_grad(ch: ChannelSet, Theta, rho: float) -> np.ndarray:
     """Ambient gradient J = A B^H of the rate at Theta under the real trace
-    metric, formed from the factors of _grad_factors."""
-    A, B = _grad_factors(ch, Theta, rho)
+    metric, formed from RateObjective(ch, rho).grad_factors(Theta)."""
+    A, B = RateObjective(ch, rho).grad_factors(Theta)
     return A @ B.conj().T
-
-
-def _grad_factors(ch: ChannelSet, Theta, rho: float) -> tuple[np.ndarray, np.ndarray]:
-    """The rate gradient at Theta, as _factors_of gives it."""
-    return _factors_of(ch, rho, *_gram_cholesky(ch, Theta, rho, "gradient"))
-
-
-def _factors_of(ch: ChannelSet, rho: float, H: np.ndarray,
-                L: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The rate gradient 2 rho F^H X G, X = E^-1 H_eq (nr x nt), as a pair
-    (A, B) with J = A B^H, of width min(nr, nt), from H_eq and the Cholesky
-    factor L of E: 2 rho X joins F^H when nt <= nr and G^H otherwise.
-
-    The conjugate-Wirtinger derivative of ln det E is rho F^H X G; the
-    directional derivative along a perturbation D of Theta is twice its
-    real inner product with D, so the metric gradient carries the factor
-    2. E^-1 = L^-H L^-1 is applied by two solves with L.
-    """
-    # rho first, as in _gram_cholesky's check
-    X = 2.0 * (rho * np.linalg.solve(L.conj().T, np.linalg.solve(L, H)))
-    if X.shape[1] <= X.shape[0]:
-        return ch.F.conj().T @ X, ch.G.conj().T
-    return ch.F.conj().T, ch.G.conj().T @ X.conj().T
 
 
 def _phase_step(C: np.ndarray, u: np.ndarray, wc: np.ndarray, base: np.ndarray,
@@ -334,10 +307,28 @@ class RateObjective(Objective):
         return H, L
 
     def eval(self, point) -> float:
-        return _log_det(self._factored(point, "rate")[1])
+        """The rate ln det E, E = I + rho H_eq H_eq^H, in nats, from the
+        Cholesky factor L of E."""
+        L = self._factored(point, "rate")[1]
+        return float(2.0 * np.sum(np.log(np.real(np.diag(L)))))
 
     def grad_factors(self, point) -> tuple[np.ndarray, np.ndarray]:
-        return _factors_of(self.channels, self.rho, *self._factored(point, "gradient"))
+        """The rate gradient 2 rho F^H X G, X = E^-1 H_eq (nr x nt), as a
+        pair (A, B) with J = A B^H, of width min(nr, nt): 2 rho X joins F^H
+        when nt <= nr and G^H otherwise.
+
+        The conjugate-Wirtinger derivative of ln det E is rho F^H X G; the
+        directional derivative along a perturbation D of Theta is twice its
+        real inner product with D, so the metric gradient carries the
+        factor 2. E^-1 = L^-H L^-1 is applied by two solves with L.
+        """
+        ch = self.channels
+        H, L = self._factored(point, "gradient")
+        # rho first, as in _gram_cholesky's check
+        X = 2.0 * (self.rho * np.linalg.solve(L.conj().T, np.linalg.solve(L, H)))
+        if X.shape[1] <= X.shape[0]:
+            return ch.F.conj().T @ X, ch.G.conj().T
+        return ch.F.conj().T, ch.G.conj().T @ X.conj().T
 
     def phase_maximizer(self, Fr: GeodesicFrame, theta: np.ndarray, m: int) -> float:
         """The closed-form optimal phase of axis m < Fr.k, the others held at

@@ -7,18 +7,16 @@ form, with no SVD. Contracts are residual bounds, checked by the
 callers' tests. The one drift rule for unitary factors, which `takagi`
 and the optimizers apply, lives here too: a factor whose residual
 ||Q Q^H - I||_F is not within DRIFT_TOL (NaN never is) gets one polar
-step, and one that step cannot mend raises NumericalError. So do the
-roundoff bounds by which a frame step carries that residual from its
-parent instead of measuring it (Higham, Accuracy and Stability of
-Numerical Algorithms, sections 3.5-3.6). The complete QR factors of
-the low-cost design and of Takagi's zero-group completion come from
-`_complete_q`: LAPACK's factor below 128 rows, and one compact-WY
-level-3 product of its Householder reflectors from 128 rows on.
+step, and one that step cannot mend raises NumericalError. How a frame
+step bounds that residual instead of measuring it is the manifold's
+business, not this module's. The complete QR factors of the low-cost
+design and of Takagi's zero-group completion come from `_complete_q`:
+LAPACK's factor below 128 rows, and one compact-WY level-3 product of
+its Householder reflectors from 128 rows on.
 """
 
 from __future__ import annotations
 
-import math
 from typing import NamedTuple
 
 import numpy as np
@@ -26,8 +24,6 @@ import numpy as np
 
 # Unitarity residual within which a factor counts as on the manifold.
 DRIFT_TOL = 1e-8
-
-_UNIT_ROUNDOFF = np.finfo(float).eps / 2
 
 # Row count from which _complete_q builds its factor by one level-3
 # product; measured on one BLAS thread, the crossover lies between 64 and
@@ -71,45 +67,6 @@ def _unitarity_residual(Q: np.ndarray) -> float:
     warning on the way."""
     with np.errstate(over="ignore", invalid="ignore"):
         return float(np.linalg.norm(Q @ Q.conj().T - np.eye(Q.shape[0])))
-
-
-def _gamma(k: int) -> float:
-    """sqrt(2) gamma_{k+2}, with gamma_j = j u / (1 - j u): a relative bound
-    on the roundoff of a complex or real inner product of length k, and of
-    one complex product for k = 0 (Higham, sections 3.5-3.6)."""
-    g = (k + 2) * _UNIT_ROUNDOFF
-    return math.sqrt(2.0) * g / (1.0 - g)
-
-
-def _gram_bound(r: float, n: int, k: int) -> float:
-    """Upper bound on ||X^H X - I||_F for an n x k X, given r, the computed
-    norm of fl(X^H X) - I: the Gram's roundoff is at most
-    _gamma(n) ||X||_F^2, with ||X||_F^2 <= k + sqrt(k) ||X^H X - I||_F, and
-    the norm's own is a relative _gamma(k^2). For k = n it raises a
-    measured ||X X^H - I||_F to a bound alike."""
-    c = _gamma(n)
-    return (r * (1.0 + _gamma(k * k)) + c * k) / (1.0 - c * math.sqrt(k))
-
-
-def _gram_defect(X: np.ndarray) -> float:
-    """Upper bound on ||X^H X - I||_F for an n x k X with entries of size
-    at most about 1, from one k x k Gram (a real one for a real X). NaN
-    for an X with a NaN."""
-    n, k = X.shape
-    G = X.conj().T @ X
-    G.reshape(-1)[::k + 1] -= 1.0
-    return _gram_bound(math.sqrt(np.vdot(G, G).real), n, k)
-
-
-def _step_bound(r: float, r_g: float, delta: float, n: int) -> float:
-    """Upper bound on r(X G + Delta), r(Y) = ||Y Y^H - I||_F, for n x n
-    factors with r(X) <= r, r(G) <= r_g and ||Delta||_F <= delta, by
-        r(X G) <= r(X) + (1 + r(X)) r(G),
-        r(Z + Delta) <= r(Z) + 2 ||Z||_2 ||Delta||_F + ||Delta||_F^2,
-    with ||Z||_2^2 <= 1 + r(Z). A final relative _gamma(n^2) covers the
-    rounding of these flops and of the norms that fed them. NaN in, NaN out."""
-    r += (1.0 + r) * r_g
-    return (r + delta * (2.0 * math.sqrt(1.0 + r) + delta)) * (1.0 + _gamma(n * n))
 
 
 def _restore_unitary(Q: np.ndarray, what: str) -> tuple[np.ndarray, float]:

@@ -8,9 +8,11 @@ multiplicative phase update cheap: iterative callers update Q instead of
 re-factorizing U each step. Whether a factor is still unitary is decided
 by the drift rule of `linalg` (DRIFT_TOL and one residual, re-exported
 here), which the optimizers apply to every candidate point. A point made
-by a frame step carries an upper bound on that residual, from its
-parent's residual and the frame's small factors, so that it needs no
-m x m Gram to pass the rule; a point with no step history is measured.
+by a frame step carries an upper bound on that residual as a number,
+certified from its parent's residual and the frame's small factors by
+the roundoff bounds defined here (Higham, Accuracy and Stability of
+Numerical Algorithms, sections 3.5-3.6), so that it needs no m x m Gram
+to pass the rule; a point with no step history (NaN bound) is measured.
 
 The few operations on the plain unitary manifold needed by the projection
 baseline live here too: tangent projection and the geodesic step
@@ -21,31 +23,26 @@ ascent on U(k), k = min(m, nr + nt), where a k x k Gram is cheap.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from functools import cached_property, partial
-from typing import Callable
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-from .linalg import (DRIFT_TOL, _check_count, _gamma, _gram_bound, _gram_defect, _step_bound,
-                     _unitarity_residual, eig_real_symmetric, expm_skew_hermitian, takagi)
-
-# relative roundoff of the few flops per entry of an elementwise complex
-# product or squared modulus: sqrt(2) gamma_4
-_GAMMA_ENTRY = _gamma(2)
+from .linalg import (DRIFT_TOL, _check_count, _unitarity_residual, eig_real_symmetric,
+                     expm_skew_hermitian, takagi)
 
 
 @dataclass(frozen=True, eq=False)
 class UsPoint:
     """A unitary symmetric matrix stored by its unitary factor Q, U = Q Q^T.
 
-    bound, when the point was made by a frame step (us_point_at), computes
-    an upper bound on ||Q Q^H - I||_F from that step; it is None for a
-    point with no step history.
+    bound is the upper bound on ||Q Q^H - I||_F that the frame step which
+    made the point (us_point_at) certified; NaN for a point with no step
+    history.
     """
 
     Q: np.ndarray
-    bound: Callable[[], float] | None = field(default=None, repr=False)
+    bound: float = math.nan
 
     @cached_property
     def U(self) -> np.ndarray:
@@ -58,8 +55,7 @@ class UsPoint:
     @cached_property
     def _residual(self) -> float:
         # the carried bound when it is within DRIFT_TOL (NaN never is)
-        b = math.nan if self.bound is None else self.bound()
-        return b if b <= DRIFT_TOL else _unitarity_residual(self.Q)
+        return self.bound if self.bound <= DRIFT_TOL else _unitarity_residual(self.Q)
 
     def max_residual(self) -> float:
         """An upper bound on ||Q Q^H - I||_F, worked out once: the carried
@@ -141,13 +137,6 @@ class UPoint:
         return self._residual
 
 
-def as_matrix(point) -> np.ndarray:
-    """The ambient matrix of a UsPoint/UPoint, or a plain ndarray unchanged."""
-    if isinstance(point, (UsPoint, UPoint)):
-        return point.U
-    return np.asarray(point)
-
-
 def _crandn(rng: np.random.Generator, *shape) -> np.ndarray:
     """Standard circularly symmetric complex Gaussian draws."""
     return (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / np.sqrt(2)
@@ -193,6 +182,68 @@ def us_tangent_project(P: UsPoint, J: np.ndarray) -> TangentDirection:
     return TangentDirection(R=M.imag / 2.0)
 
 
+_UNIT_ROUNDOFF = np.finfo(float).eps / 2
+
+
+def _gamma(k: int) -> float:
+    """sqrt(2) gamma_{k+2}, with gamma_j = j u / (1 - j u): a relative bound
+    on the roundoff of a complex or real inner product of length k, and of
+    one complex product for k = 0 (Higham, sections 3.5-3.6)."""
+    g = (k + 2) * _UNIT_ROUNDOFF
+    return math.sqrt(2.0) * g / (1.0 - g)
+
+
+# relative roundoff of the few flops per entry of an elementwise complex
+# product or squared modulus: sqrt(2) gamma_4
+_GAMMA_ENTRY = _gamma(2)
+
+
+def _gram_bound(r: float, n: int, k: int) -> float:
+    """Upper bound on ||X^H X - I||_F for an n x k X, given r, the computed
+    norm of fl(X^H X) - I: the Gram's roundoff is at most
+    _gamma(n) ||X||_F^2, with ||X||_F^2 <= k + sqrt(k) ||X^H X - I||_F, and
+    the norm's own is a relative _gamma(k^2). For k = n it raises a
+    measured ||X X^H - I||_F to a bound alike."""
+    c = _gamma(n)
+    return (r * (1.0 + _gamma(k * k)) + c * k) / (1.0 - c * math.sqrt(k))
+
+
+def _gram_defect(X: np.ndarray) -> float:
+    """Upper bound on ||X^H X - I||_F for an n x k X with entries of size
+    at most about 1, from one k x k Gram (a real one for a real X). NaN
+    for an X with a NaN."""
+    n, k = X.shape
+    G = X.conj().T @ X
+    G.reshape(-1)[::k + 1] -= 1.0
+    return _gram_bound(math.sqrt(np.vdot(G, G).real), n, k)
+
+
+def _step_bound(r: float, r_g: float, delta: float, n: int) -> float:
+    """Upper bound on r(X G + Delta), r(Y) = ||Y Y^H - I||_F, for n x n
+    factors with r(X) <= r, r(G) <= r_g and ||Delta||_F <= delta, by
+        r(X G) <= r(X) + (1 + r(X)) r(G),
+        r(Z + Delta) <= r(Z) + 2 ||Z||_2 ||Delta||_F + ||Delta||_F^2,
+    with ||Z||_2^2 <= 1 + r(Z). A final relative _gamma(n^2) covers the
+    rounding of these flops and of the norms that fed them. NaN in, NaN out."""
+    r += (1.0 + r) * r_g
+    return (r + delta * (2.0 * math.sqrt(1.0 + r) + delta)) * (1.0 + _gamma(n * n))
+
+
+def _us_point_bound(r: float, z: np.ndarray) -> float:
+    """Upper bound on the residual of QR diag(z, 1), its first k = z.size
+    columns computed as fl(QR_j z_j), for a frame factor QR with residual
+    at most r: r(diag(z, 1)) = || |z|^2 - 1 ||_2, whose computed entries
+    are off by at most 3 _GAMMA_ENTRY, and each product QR_ij z_j is off
+    by a relative _GAMMA_ENTRY, on k columns of squared norm at most 1 + r."""
+    k = z.size
+    d = np.abs(z)
+    d *= d
+    d -= 1.0
+    r_z = math.sqrt(d.dot(d)) + 3.0 * _GAMMA_ENTRY * math.sqrt(k)
+    delta = _GAMMA_ENTRY * math.sqrt(k * (1.0 + r) * (1.0 + r_z))
+    return _step_bound(r, r_z, delta, k)
+
+
 def us_geodesic_frame(P: UsPoint, D: TangentDirection,
                       span: np.ndarray | None = None) -> GeodesicFrame:
     """Eigendecompose the direction and return the frame of its geodesic.
@@ -227,34 +278,19 @@ def us_geodesic_frame(P: UsPoint, D: TangentDirection,
     return GeodesicFrame(QR=P.Q @ V, theta=theta, residual=_step_bound(r_q, r_v, delta, n))
 
 
-def _us_point_bound(r: float, z: np.ndarray) -> float:
-    """Upper bound on the residual of QR diag(z, 1), its first k = z.size
-    columns computed as fl(QR_j z_j), for a frame factor QR with residual
-    at most r: r(diag(z, 1)) = || |z|^2 - 1 ||_2, whose computed entries
-    are off by at most 3 _GAMMA_ENTRY, and each product QR_ij z_j is off
-    by a relative _GAMMA_ENTRY, on k columns of squared norm at most 1 + r."""
-    k = z.size
-    d = np.abs(z)
-    d *= d
-    d -= 1.0
-    r_z = math.sqrt(d.dot(d)) + 3.0 * _GAMMA_ENTRY * math.sqrt(k)
-    delta = _GAMMA_ENTRY * math.sqrt(k * (1.0 + r) * (1.0 + r_z))
-    return _step_bound(r, r_z, delta, k)
-
-
 def us_point_at(Fr: GeodesicFrame, phases: np.ndarray) -> UsPoint:
     """Point of Us at the given phases of a geodesic frame's k axes.
 
     U = QR diag(e^{j phi}, 1) QR^T, with the cached factor updated
     multiplicatively as Q = QR diag(e^{j phi / 2}, 1): the first k
     columns are scaled, the other n - k carried unchanged. The point
-    carries a bound on its residual from the frame's, worked out when
-    asked for.
+    carries the bound on its residual that follows from the frame's and
+    from z (_us_point_bound).
     """
     z = np.exp(0.5j * Fr.phases(phases))
     Q = Fr.QR.copy()
     np.multiply(Fr.QR[:, :z.size], z[np.newaxis, :], out=Q[:, :z.size])
-    return UsPoint(Q=Q, bound=partial(_us_point_bound, Fr.residual, z))
+    return UsPoint(Q=Q, bound=_us_point_bound(Fr.residual, z))
 
 
 def us_retract(A: np.ndarray) -> UsPoint:

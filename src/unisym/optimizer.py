@@ -124,10 +124,6 @@ class IterationTrace:
     def iterations(self) -> int:
         return self.records[-1].k
 
-    @property
-    def final_grad_norm(self) -> float:
-        return self.records[-1].grad_norm
-
     def is_monotone(self) -> bool:
         v = self.values
         return bool(np.all(np.diff(v) >= 0))

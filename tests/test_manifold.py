@@ -6,10 +6,13 @@ expm for geodesics, and random-sampling for the nearest-point property
 of the retraction.
 """
 
+import math
+
 import numpy as np
 import pytest
 import scipy.linalg
 
+from unisym.linalg import DRIFT_TOL, _unitarity_residual
 from unisym.manifold import (
     TangentDirection,
     UPoint,
@@ -22,6 +25,8 @@ from unisym.manifold import (
     us_random,
     us_retract,
     us_tangent_project,
+    _gram_defect,
+    _us_point_bound,
 )
 from unisym.optimizer import Objective, optimize_u_armijo, optimize_us
 
@@ -238,6 +243,70 @@ class TestUsPointAt:
         with pytest.raises(ValueError, match=r"phases must be a finite real vector"):
             us_point_at(Fr, np.array([None] * 4))
 
+
+def drifted_point(n, eps, rng):
+    """A point whose factor Q (I + eps H), H Hermitian with ||H||_F = 1,
+    has the known residual ||2 eps H + eps^2 H^2||_F, about 2 eps."""
+    X = crandn(rng, n, n)
+    H = (X + X.conj().T) / np.linalg.norm(X + X.conj().T)
+    known = np.linalg.norm(2.0 * eps * H + eps * eps * H @ H)
+    return UsPoint(Q=us_random(n, seed=n).Q @ (np.eye(n) + eps * H)), known
+
+
+class TestResidualBound:
+    """The bound a frame step carries, on factors with a known defect up to
+    about DRIFT_TOL: it is at least the measured residual, and stays close
+    to it, where measured from the parent, the frame and each point."""
+
+    @pytest.mark.parametrize("n", [1, 3, 16, 64])
+    @pytest.mark.parametrize("eps", [0.0, 1e-12, 1e-10, 4e-9])
+    @pytest.mark.parametrize("spanned", [False, True])
+    def test_frame_and_points_bound_their_measured_residual(self, n, eps, spanned):
+        rng = np.random.default_rng(31 + n)
+        P, known = drifted_point(n, eps, rng)
+        parent = P.max_residual()    # no step history: measured
+        assert math.isnan(P.bound)
+        assert abs(parent - known) <= 1e-6 * known + 1e-14
+        # a span of c columns holds range(R), as us_geodesic_frame asks
+        c = min(n, 2) if spanned else n
+        span = rng.standard_normal((n, c)) if spanned else np.eye(n)
+        M = rng.standard_normal((c, c))
+        R = span @ (M + M.T) @ span.T
+        Fr = us_geodesic_frame(P, TangentDirection(R=R), span=span if spanned else None)
+        # slack for the roundoff the bound certifies, at most 2.7e-12 seen at n = 64
+        slack = 1e-14 + 2e-15 * n * n
+        assert _unitarity_residual(Fr.QR) <= Fr.residual <= 1.01 * parent + slack
+        for _ in range(3):
+            pt = us_point_at(Fr, rng.uniform(-np.pi, np.pi, Fr.k))
+            measured = _unitarity_residual(pt.Q)
+            assert measured <= pt.bound <= 1.01 * parent + 2.0 * slack
+            # a bound within DRIFT_TOL passes the drift rule unmeasured
+            assert pt.max_residual() == (pt.bound if pt.bound <= DRIFT_TOL else measured)
+
+    @pytest.mark.parametrize("n", [1, 3, 16, 64])
+    @pytest.mark.parametrize("eta", [0.0, 1e-12, 1e-10, 2e-9])
+    def test_phases_off_the_unit_circle(self, n, eta):
+        # z = e^{j phi / 2} (1 + eta_j), |eta_j| <= eta: the bound covers
+        # || |z|^2 - 1 ||_2 on top of the frame's residual
+        rng = np.random.default_rng(47 + n)
+        P, _ = drifted_point(n, 1e-10, rng)
+        Fr = us_geodesic_frame(P, TangentDirection(R=np.eye(n)))
+        z = np.exp(0.5j * rng.uniform(-np.pi, np.pi, n)) * (1.0 + eta * rng.uniform(-1, 1, n))
+        bound = _us_point_bound(Fr.residual, z)
+        assert bound >= _unitarity_residual(Fr.QR * z)
+        assert bound >= np.linalg.norm(np.abs(z) ** 2 - 1.0)
+        assert bound <= Fr.residual + 3.0 * eta * math.sqrt(n) + 1e-14 * n
+        # a hand-built frame's NaN residual gives a NaN bound, so its points
+        # are measured (test_optimizer's TestCarriedResidual)
+        assert math.isnan(_us_point_bound(math.nan, z))
+
+    def test_gram_defect_bounds_a_tall_factor(self):
+        rng = np.random.default_rng(53)
+        for eps in (0.0, 1e-12, 1e-10, 4e-9):
+            P, _ = drifted_point(64, eps, rng)
+            for X in (P.Q[:, :16], np.linalg.qr(rng.standard_normal((64, 16)))[0] * (1 + eps)):
+                measured = np.linalg.norm(X.conj().T @ X - np.eye(16))
+                assert measured <= _gram_defect(X) <= 1.01 * measured + 1e-12
 
 class TestUsRetract:
     def test_fixed_point(self):

@@ -13,9 +13,12 @@ thread, as CI runs the tests; with --caller-threads it inherits the
 caller's thread settings instead, as the tier-1 command does, which on
 a multi-core host leaves OpenBLAS free to thread. The runs interleave,
 the side that goes first alternating from run to run. Per side it prints
-the ratios in run order, then their min, quartiles, median and max, and
-how many fell below 3.0. The gate itself is not run. Exit status: 0, or
-2 when the ref cannot be read or a run fails.
+the ratios in run order, then their min, quartiles, median and max, how
+many fell below 3.0, and the median over the runs of each cell's
+`median_iter_ms`, at M = 64 and at M = 128. The two medians tell a move
+of fixed per-call overhead, which shows at M = 64 as much as at M = 128,
+from one of the work that grows with m. The gate itself is not run. Exit
+status: 0, or 2 when the ref cannot be read or a run fails.
 """
 
 from __future__ import annotations
@@ -37,7 +40,7 @@ GATE8 = {"sweep": [64, 128], "trials": 5, "methods": ["mo_us"]}
 FLOOR = 3.0     # gate 8's lower bound on the ratio
 
 # run in a fresh interpreter with PYTHONPATH=<src>: argv = src, spec values;
-# prints the last cell's median_iter_ms over the first's
+# prints the first and the last cell's median_iter_ms as a JSON pair
 _RUNNER = """
 import json, sys, tempfile
 from pathlib import Path
@@ -48,15 +51,15 @@ if Path(unisym.__file__).resolve().parent != src / "unisym":
     sys.exit(f"imported unisym from {unisym.__file__}, not from {src}")
 with tempfile.TemporaryDirectory() as out:
     rows, _ = bench(build_run_spec({**json.loads(sys.argv[2]), "output_dir": out}))
-print(repr(rows[-1].median_iter_ms / rows[0].median_iter_ms))
+print(json.dumps([rows[0].median_iter_ms, rows[-1].median_iter_ms]))
 """
 
 
-def ratio(src: Path, values: dict, pin: bool = True) -> float:
+def timings(src: Path, values: dict, pin: bool = True) -> tuple[float, float]:
     """One `bench` run of the spec values on the package under src: the
-    last cell's median_iter_ms over the first's. pin runs it on one BLAS
-    thread, else under the caller's thread settings. RuntimeError if it
-    fails."""
+    first and the last cell's median_iter_ms, in ms. pin runs it on one
+    BLAS thread, else under the caller's thread settings. RuntimeError if
+    it fails."""
     src = src.resolve()
     env = {**os.environ, **({v: "1" for v in _THREADS} if pin else {}), "PYTHONPATH": str(src)}
     with tempfile.TemporaryDirectory() as cwd:
@@ -64,27 +67,38 @@ def ratio(src: Path, values: dict, pin: bool = True) -> float:
                               cwd=cwd, env=env, capture_output=True, text=True)
     if proc.returncode != 0:
         raise RuntimeError(f"bench on {src} failed:\n{proc.stderr}")
-    return float(proc.stdout)
+    return tuple(json.loads(proc.stdout))
 
 
 def interleaved(sides: dict, runs: int, values: dict, pin: bool = True) -> dict:
-    """name -> the ratios of `runs` runs of each side's src, in run order;
+    """name -> the timings of `runs` runs of each side's src, in run order;
     the first side goes first in even runs, last in odd ones."""
     out = {name: [] for name in sides}
     order = list(sides)
     for i in range(runs):
         for name in order if i % 2 == 0 else order[::-1]:
-            out[name].append(ratio(sides[name], values, pin))
+            out[name].append(timings(sides[name], values, pin))
     return out
 
 
-def summary(name: str, ratios: list[float]) -> str:
-    """One line: the min, quartiles, median and max of the ratios, and how
-    many fell below FLOOR."""
-    lo, q1, med, q3, hi = np.percentile(ratios, [0, 25, 50, 75, 100])
-    below = sum(r < FLOOR for r in ratios)
-    return (f"{name}: {len(ratios)} runs, min {lo:.2f}, quartiles {q1:.2f}-{q3:.2f}, "
-            f"median {med:.2f}, max {hi:.2f}; {below} below {FLOOR}")
+def ratios(runs: list[tuple[float, float]]) -> np.ndarray:
+    """The last cell's median_iter_ms over the first's, per run."""
+    first, last = np.array(runs).T
+    return last / first
+
+
+def summary(name: str, runs: list[tuple[float, float]]) -> str:
+    """One line: the min, quartiles, median and max of the runs' ratios, how
+    many fell below FLOOR, and the median over the runs of each cell's
+    median_iter_ms."""
+    rs = ratios(runs)
+    lo, q1, med, q3, hi = np.percentile(rs, [0, 25, 50, 75, 100])
+    below = sum(r < FLOOR for r in rs)
+    m_first, m_last = np.median(runs, axis=0)
+    M_first, M_last = GATE8["sweep"]
+    return (f"{name}: {len(rs)} runs, min {lo:.2f}, quartiles {q1:.2f}-{q3:.2f}, "
+            f"median {med:.2f}, max {hi:.2f}; {below} below {FLOOR}; median_iter_ms "
+            f"median {m_first:.3f} ms at M = {M_first}, {m_last:.3f} ms at M = {M_last}")
 
 
 def main(argv=None) -> int:
@@ -99,14 +113,14 @@ def main(argv=None) -> int:
     with tempfile.TemporaryDirectory() as tmp:
         try:
             sides = {args.ref: archive_src(args.ref, Path(tmp)), "working tree": ROOT / "src"}
-            ratios = interleaved(sides, args.runs, GATE8, not args.caller_threads)
+            runs = interleaved(sides, args.runs, GATE8, not args.caller_threads)
         except RuntimeError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 2
-    for name, rs in ratios.items():
-        print(f"{name}: " + " ".join(f"{r:.2f}" for r in rs))
-    for name, rs in ratios.items():
-        print(summary(name, rs))
+    for name, side in runs.items():
+        print(f"{name}: " + " ".join(f"{r:.2f}" for r in ratios(side)))
+    for name, side in runs.items():
+        print(summary(name, side))
     return 0
 
 
