@@ -207,9 +207,8 @@ def _gram_cholesky(ch: ChannelSet, Theta, rho: float, what: str) -> tuple[np.nda
     what names the caller's quantity in the NumericalError raised when E
     would overflow or loses positive definiteness in floating point. Since
     |(H H^H)_ij| <= max_i (H H^H)_ii, a finite 2 rho max_i (H H^H)_ii keeps
-    every entry of E and of E + E^H finite.
+    every entry of E and of E + E^H finite. rho is checked by the caller.
     """
-    _check_rho(rho)
     H = h_eq(ch, Theta)
     HH = H @ H.conj().T
     peak = max(HH.diagonal().real.tolist())
@@ -276,6 +275,8 @@ class RateObjective(Objective):
     phase maximizer and sweep) and on the plain unitary manifold for the
     projection baseline.
 
+    rho must be finite and > 0, else ValueError naming rho when the
+    objective is made. A point is a UsPoint, a UPoint or an m x m array.
     eval and grad_factors of one point object share one factorization:
     H_eq and L are kept for the last UsPoint or UPoint factored (points
     are frozen). channels and rho are read-only, so they cannot go stale.
@@ -284,6 +285,7 @@ class RateObjective(Objective):
     def __init__(self, channels: ChannelSet, rho: float):
         self._channels = channels
         self._rho = float(rho)
+        _check_rho(self._rho)
         self._memo = None    # (point, H, L) of the last point factored
 
     @property

@@ -69,13 +69,19 @@ class UsPoint:
 class TangentDirection:
     """Tangent vector at a UsPoint, stored by its real symmetric parameter R.
 
-    The embedded ambient vector is B = j Q R Q^T.
+    The embedded ambient vector is B = j Q R Q^T. R must be a real (integer
+    or float) square matrix, else ValueError naming R; it is stored as its
+    symmetric part (R + R^T) / 2, in float.
     """
 
     R: np.ndarray
 
     def __post_init__(self):
-        R = np.asarray(self.R, dtype=float)
+        R = np.asarray(self.R)
+        # dtype and shape only, so that the check is O(1) in the loop
+        if R.dtype.kind not in "iuf" or R.ndim != 2 or R.shape[0] != R.shape[1]:
+            raise ValueError(f"R must be a real square matrix, got {R.dtype} of shape {R.shape}")
+        R = R.astype(float, copy=False)
         object.__setattr__(self, "R", (R + R.T) / 2.0)
 
     @property

@@ -28,53 +28,11 @@ from unisym.manifold import (
 )
 from unisym.optimizer import OptimizerConfig, optimize_us
 
+from oracles import (crandn, embedded_basis_matrix, project_lstsq, rate_at_phases,
+                     rate_spectral)
+
 DESK_TRIALS = 50
 DESK_SWEEP = [16, 32, 64]
-
-
-def crandn(rng, *shape):
-    return (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / np.sqrt(2)
-
-
-def sym_basis(n):
-    out = []
-    for k in range(n):
-        for l in range(k, n):
-            E = np.zeros((n, n))
-            E[k, l] = 1.0
-            E[l, k] = 1.0
-            out.append(E)
-    return out
-
-
-def embedded_basis_matrix(Q):
-    """Real matrix whose columns are the embedded symmetric basis vectors."""
-    cols = []
-    for E in sym_basis(Q.shape[0]):
-        B = 1j * Q @ E @ Q.T
-        cols.append(np.concatenate([B.real.ravel(), B.imag.ravel()]))
-    return np.stack(cols, axis=1)
-
-
-def project_lstsq(Q, J):
-    A = embedded_basis_matrix(Q)
-    b = np.concatenate([np.asarray(J).real.ravel(), np.asarray(J).imag.ravel()])
-    coef, *_ = np.linalg.lstsq(A, b, rcond=None)
-    R = np.zeros(Q.shape)
-    for c, E in zip(coef, sym_basis(Q.shape[0])):
-        R += c * E
-    return R
-
-
-def rate_spectral(ch, U, rho):
-    H = ch.Hd + ch.F @ np.asarray(U) @ ch.G.conj().T
-    lam = np.linalg.eigvalsh(H @ H.conj().T)
-    return float(np.sum(np.log1p(rho * np.clip(lam, 0.0, None))))
-
-
-def rate_at_phases(ch, Fr, theta, rho):
-    Q = Fr.QR * np.exp(0.5j * np.asarray(theta, float))
-    return rate_spectral(ch, Q @ Q.T, rho)
 
 
 def refined_grid_best(ch, Fr, theta, m, rho, points=3601):

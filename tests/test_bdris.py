@@ -57,9 +57,7 @@ from unisym.manifold import (
 )
 from unisym.optimizer import OptimizerConfig, optimize_u_armijo, optimize_us, phase_sweep
 
-
-def crandn(rng, *shape):
-    return (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / np.sqrt(2)
+from oracles import crandn, exact_residual, rate_at_phases, rate_spectral
 
 
 def make_channels(rng, nr, nt, m, direct_scale=1.0):
@@ -81,24 +79,6 @@ def h_eq_loops(Hd, F, G, U):
                     acc += F[i, a] * U[a, b] * np.conj(G[j, b])
             out[i, j] += acc
     return out
-
-
-def rate_spectral(ch, U, rho):
-    """Rate through the eigenvalues of the smaller Gram matrix, H H^H or
-    H^H H: sum ln(1 + rho lam_i). The larger one adds only zero
-    eigenvalues, whose roundoff rho would scale into spurious nats."""
-    H = ch.Hd + ch.F @ U @ ch.G.conj().T
-    if H.shape[1] < H.shape[0]:
-        H = H.conj().T
-    lam = np.linalg.eigvalsh(H @ H.conj().T)
-    return float(np.sum(np.log1p(rho * np.clip(lam, 0.0, None))))
-
-
-def rate_at_phases(ch, Fr, theta, rho):
-    """Independent rate evaluation at frame phases: rebuild the full
-    surface response, then the eigenvalue-based rate."""
-    U = (Fr.QR * np.exp(1j * np.asarray(theta, float))[np.newaxis, :]) @ Fr.QR.T
-    return rate_spectral(ch, U, rho)
 
 
 def random_frame(rng, ch, rho, m):
@@ -285,6 +265,26 @@ class TestRate:
                 rate(ch, np.eye(4), rho=rho)
             with pytest.raises(ValueError, match="rho"):
                 euclid_grad(ch, np.eye(4), rho=rho)
+
+    def test_rho_is_checked_as_the_objective_is_made(self):
+        # the objective holds rho read-only, so it is checked once
+        ch = make_channels(np.random.default_rng(6), 2, 2, 4)
+        for rho in (0.0, -1.0, math.nan, math.inf):
+            with pytest.raises(ValueError, match="rho"):
+                RateObjective(ch, rho)
+
+    def test_spectral_oracle_matches_the_singular_values(self):
+        # at rho = 1e30 on an 8x2 link, the roundoff of the six zero
+        # eigenvalues of the 8 x 8 Gram H H^H, scaled by rho, gave 163.62
+        # bits; the 2 x 2 Gram has only H's two singular values squared
+        ch = gen_channels(Scenario(nr=8, nt=2, m=16, rho=1e30),
+                          seed=np.random.SeedSequence((300, 16)))
+        U = us_random(16, seed=1).U
+        sigma = np.linalg.svd(ch.Hd + ch.F @ U @ ch.G.conj().T, compute_uv=False)
+        bits = rate_spectral(ch, U, 1e30) / math.log(2.0)
+        assert bits == pytest.approx(np.sum(np.log1p(1e30 * sigma ** 2)) / math.log(2.0),
+                                     rel=1e-12)
+        assert round(bits, 2) == 129.81
 
     def test_invariant_under_factor_refresh(self):
         # the rate depends on the point's matrix only, not on which Takagi
@@ -1365,8 +1365,9 @@ def settled_points(monkeypatch):
 
 def check_carried_bounds(points):
     """The largest carried bound of the settled points that carry one,
-    after checking that each is at least the point's measured residual
-    and within DRIFT_TOL (so no point was measured)."""
+    after checking that each is at least the point's measured residual,
+    and its exact one for m <= 64, and within DRIFT_TOL (so no point was
+    measured)."""
     largest = 0.0
     for P in points:
         if math.isnan(P.bound):     # the start point, measured
@@ -1374,6 +1375,9 @@ def check_carried_bounds(points):
         bound = P.bound
         measured = unisym.linalg._unitarity_residual(P.Q)
         assert measured <= bound <= DRIFT_TOL, (measured, bound)
+        if P.n <= 64:
+            exact = exact_residual(P.Q)
+            assert exact <= bound, (exact, bound)
         largest = max(largest, bound)
     return largest
 

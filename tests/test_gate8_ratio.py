@@ -1,7 +1,7 @@
 """tools/gate8_ratio.py: one bench run per side and call, interleaved, on
-a small spec, the thread settings a run is given, the per-side summary
-line with each cell's median timing, and exit status 2 for a ref that git
-cannot read."""
+a small spec, the thread settings a run is given, the per-run line with
+each run's cells, the per-side summary line with each cell's median, min
+and max timing, and exit status 2 for a ref that git cannot read."""
 
 import math
 import shutil
@@ -62,9 +62,16 @@ def test_summary_line():
     runs = [(0.5, 1.0), (0.25, 0.75), (0.25, 1.0), (0.2, 1.0), (0.125, 0.75)]
     line = gate8_ratio.summary("parent", runs)
     assert line == ("parent: 5 runs, min 2.00, quartiles 3.00-5.00, median 4.00, "
-                    "max 6.00; 1 below 3.0; median_iter_ms median 0.250 ms at M = 64, "
-                    "1.000 ms at M = 128")
+                    "max 6.00; 1 below 3.0; median_iter_ms median 0.250 ms "
+                    "(min 0.125, max 0.500) at M = 64, 1.000 ms (min 0.750, max 1.000) "
+                    "at M = 128")
     assert "; 0 below 3.0; " in gate8_ratio.summary("x", [(0.2, 0.7)])
+
+
+def test_run_line_puts_each_runs_cells_beside_its_ratio():
+    # a cold M = 64 cell shows as the low ratio's large first cell
+    line = gate8_ratio.run_line("parent", [(0.29, 0.87), (3.5, 0.28)])
+    assert line == "parent: 3.00 (0.290/0.870) 0.08 (3.500/0.280)"
 
 
 def test_unreadable_ref_exits_2(capsys):

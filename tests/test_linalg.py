@@ -18,9 +18,7 @@ from unisym.linalg import (
 )
 from unisym.manifold import us_retract
 
-
-def crandn(rng, *shape):
-    return (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / np.sqrt(2)
+from oracles import crandn
 
 
 def haar_unitary(rng, n):

@@ -2,18 +2,22 @@
 
 Oracles used here are independent of the code under test: an explicit
 real least-squares solve for the tangent projection, scipy's dense Pade
-expm for geodesics, and random-sampling for the nearest-point property
-of the retraction.
+expm for geodesics, random-sampling for the nearest-point property of
+the retraction, and the residual ||Q Q^H - I||_F in extended precision.
 """
 
 import math
+import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
 import scipy.linalg
 
 from unisym.linalg import DRIFT_TOL, _unitarity_residual
+import unisym.manifold
 from unisym.manifold import (
+    GeodesicFrame,
     TangentDirection,
     UPoint,
     UsPoint,
@@ -25,44 +29,13 @@ from unisym.manifold import (
     us_random,
     us_retract,
     us_tangent_project,
+    _gram_bound,
     _gram_defect,
     _us_point_bound,
 )
 from unisym.optimizer import Objective, optimize_u_armijo, optimize_us
 
-
-def crandn(rng, *shape):
-    return (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / np.sqrt(2)
-
-
-def sym_basis(n):
-    """Basis of real symmetric n x n matrices (E_kl + E_lk, and E_kk)."""
-    out = []
-    for k in range(n):
-        for l in range(k, n):
-            E = np.zeros((n, n))
-            E[k, l] = 1.0
-            E[l, k] = 1.0
-            out.append(E)
-    return out
-
-
-def project_lstsq(Q, J):
-    """Minimizer of ||J - j Q R Q^T||_F over real symmetric R, solved as an
-    explicit n(n+1)/2-dimensional real least-squares problem."""
-    n = Q.shape[0]
-    basis = sym_basis(n)
-    cols = []
-    for E in basis:
-        B = 1j * Q @ E @ Q.T
-        cols.append(np.concatenate([B.real.ravel(), B.imag.ravel()]))
-    A = np.stack(cols, axis=1)
-    b = np.concatenate([np.asarray(J).real.ravel(), np.asarray(J).imag.ravel()])
-    coef, *_ = np.linalg.lstsq(A, b, rcond=None)
-    R = np.zeros((n, n))
-    for c, E in zip(coef, basis):
-        R += c * E
-    return R
+from oracles import crandn, embedded_basis_matrix, exact_residual, project_lstsq
 
 
 class TestUsRandom:
@@ -113,6 +86,19 @@ class TestUsTangentProject:
         R_star = project_lstsq(P.Q, J)
         assert np.linalg.norm(D.R - R_star) < 1e-9 * max(1.0, np.linalg.norm(J))
 
+    def test_direction_needs_a_real_square_r(self):
+        # a complex R would lose its imaginary part, and a non-square one
+        # fail inside R + R^T with numpy's broadcast error
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for R in (1j * np.eye(3), np.eye(3, dtype=complex), np.zeros((2, 3)),
+                      np.zeros(3), np.array(1.0), np.array([[None]]), np.eye(2, dtype=bool)):
+                with pytest.raises(ValueError, match=r"R must be a real square matrix"):
+                    TangentDirection(R=R)
+        # integers are real; R is kept as its symmetric part, in float
+        D = TangentDirection(R=[[0, 1], [2, 3]])
+        assert D.R.dtype == float and np.array_equal(D.R, [[0.0, 1.5], [1.5, 3.0]])
+
     def test_dimension_mismatch(self):
         P = us_random(4, seed=4)
         with pytest.raises(ValueError):
@@ -153,11 +139,7 @@ class TestUsTangentProject:
         # real span of the embedded symmetric basis has dimension n(n+1)/2
         for n in (2, 3, 5, 6):
             P = us_random(n, seed=100 + n)
-            cols = []
-            for E in sym_basis(n):
-                B = 1j * P.Q @ E @ P.Q.T
-                cols.append(np.concatenate([B.real.ravel(), B.imag.ravel()]))
-            rank = np.linalg.matrix_rank(np.stack(cols, axis=1))
+            rank = np.linalg.matrix_rank(embedded_basis_matrix(P.Q))
             assert rank == n * (n + 1) // 2
 
 
@@ -253,10 +235,36 @@ def drifted_point(n, eps, rng):
     return UsPoint(Q=us_random(n, seed=n).Q @ (np.eye(n) + eps * H)), known
 
 
+def hidden_defect_factor(n, rng):
+    """A real n x n factor V, n even, and its exact residual: a row and
+    column permutation of 2 x 2 blocks [[c, -s], [s, c]], s = 2^-k and c
+    the float64 nearest sqrt(1 - s^2) or next to it, so that c s is exact
+    and V V^T - I = diag(eta_b I_2), eta_b = c^2 + s^2 - 1 of size 1e-17
+    to 1e-16. Each c^2 + s^2 rounds to 1 in float64, so the float64 Gram,
+    checked here, is exactly I: it misses a defect of sqrt(2 sum eta_b^2)."""
+    blocks = []
+    for k, up in ((1, 1), (2, 0), (3, 0), (5, 0), (6, 0), (13, 0)):
+        s = 2.0 ** -k
+        c = math.sqrt(1.0 - s * s)
+        c = math.nextafter(c, 2.0) if up else c
+        blocks.append((c, s, Fraction(c) ** 2 + Fraction(s) ** 2 - 1))
+    V, etas = np.zeros((n, n)), []
+    for b in range(n // 2):
+        c, s, eta = blocks[b % len(blocks)]
+        V[2 * b:2 * b + 2, 2 * b:2 * b + 2] = [[c, -s], [s, c]]
+        etas.append(eta)
+    V = V[rng.permutation(n)][:, rng.permutation(n)]
+    assert np.array_equal(V @ V.T, np.eye(n)) and np.array_equal(V.T @ V, np.eye(n))
+    return V, math.sqrt(2.0 * float(sum(eta * eta for eta in etas)))
+
+
 class TestResidualBound:
     """The bound a frame step carries, on factors with a known defect up to
-    about DRIFT_TOL: it is at least the measured residual, and stays close
-    to it, where measured from the parent, the frame and each point."""
+    about DRIFT_TOL: it is at least the measured and the exact residual,
+    and stays close to them, where measured from the parent, the frame and
+    each point. On factors whose defect near roundoff a float64 Gram
+    misses, only the bound's roundoff terms keep it above the exact
+    residual."""
 
     @pytest.mark.parametrize("n", [1, 3, 16, 64])
     @pytest.mark.parametrize("eps", [0.0, 1e-12, 1e-10, 4e-9])
@@ -276,10 +284,11 @@ class TestResidualBound:
         # slack for the roundoff the bound certifies, at most 2.7e-12 seen at n = 64
         slack = 1e-14 + 2e-15 * n * n
         assert _unitarity_residual(Fr.QR) <= Fr.residual <= 1.01 * parent + slack
+        assert exact_residual(Fr.QR) <= Fr.residual
         for _ in range(3):
             pt = us_point_at(Fr, rng.uniform(-np.pi, np.pi, Fr.k))
             measured = _unitarity_residual(pt.Q)
-            assert measured <= pt.bound <= 1.01 * parent + 2.0 * slack
+            assert max(measured, exact_residual(pt.Q)) <= pt.bound <= 1.01 * parent + 2.0 * slack
             # a bound within DRIFT_TOL passes the drift rule unmeasured
             assert pt.max_residual() == (pt.bound if pt.bound <= DRIFT_TOL else measured)
 
@@ -293,7 +302,7 @@ class TestResidualBound:
         Fr = us_geodesic_frame(P, TangentDirection(R=np.eye(n)))
         z = np.exp(0.5j * rng.uniform(-np.pi, np.pi, n)) * (1.0 + eta * rng.uniform(-1, 1, n))
         bound = _us_point_bound(Fr.residual, z)
-        assert bound >= _unitarity_residual(Fr.QR * z)
+        assert bound >= max(_unitarity_residual(Fr.QR * z), exact_residual(Fr.QR * z))
         assert bound >= np.linalg.norm(np.abs(z) ** 2 - 1.0)
         assert bound <= Fr.residual + 3.0 * eta * math.sqrt(n) + 1e-14 * n
         # a hand-built frame's NaN residual gives a NaN bound, so its points
@@ -307,6 +316,47 @@ class TestResidualBound:
             for X in (P.Q[:, :16], np.linalg.qr(rng.standard_normal((64, 16)))[0] * (1 + eps)):
                 measured = np.linalg.norm(X.conj().T @ X - np.eye(16))
                 assert measured <= _gram_defect(X) <= 1.01 * measured + 1e-12
+                assert exact_residual(X.conj().T) <= _gram_defect(X)
+
+    @pytest.mark.parametrize("n", [2, 16, 64])
+    def test_gram_terms_bound_a_defect_the_gram_misses(self, n):
+        V, known = hidden_defect_factor(n, np.random.default_rng(59 + n))
+        exact = exact_residual(V)
+        assert abs(exact - known) <= 1e-2 * known
+        # the float64 measurement reads 0; the raise of _gram_bound and the
+        # Gram roundoff term of _gram_defect each lift it above the defect
+        assert _unitarity_residual(V) == 0.0
+        assert _gram_defect(V) >= exact
+        assert _gram_bound(_unitarity_residual(V), n, n) >= exact
+
+    @pytest.mark.parametrize("n", [2, 16, 64])
+    def test_frame_and_points_bound_a_defect_the_gram_misses(self, monkeypatch, n):
+        # us_geodesic_frame's V is the defective factor: the eigenvectors
+        # of D.R are replaced by it, and from Q = I the product Q V is exact
+        rng = np.random.default_rng(61 + n)
+        V, known = hidden_defect_factor(n, rng)
+        theta = np.sort(rng.uniform(-1.0, 1.0, n))[::-1]
+        monkeypatch.setattr(unisym.manifold, "eig_real_symmetric", lambda R: (V.copy(), theta))
+        Fr = us_geodesic_frame(UsPoint(Q=np.eye(n, dtype=complex)), TangentDirection(R=np.eye(n)))
+        assert np.array_equal(Fr.QR, V)
+        assert exact_residual(Fr.QR) <= Fr.residual
+        for phases in (np.zeros(n), theta, rng.uniform(-np.pi, np.pi, n)):
+            pt = us_point_at(Fr, phases)
+            assert exact_residual(pt.Q) <= pt.bound
+
+    @pytest.mark.parametrize("n", [1, 16, 64])
+    def test_points_bound_a_phase_defect_the_gram_misses(self, n):
+        # on an exact frame, phases whose |e^{j phi / 2}| is 1 in float64
+        # but not exactly: the point's only defect is || |z|^2 - 1 ||_2
+        rng = np.random.default_rng(67 + n)
+        phi = rng.uniform(-np.pi, np.pi, 8 * n)
+        z = np.exp(0.5j * phi)
+        phi = phi[np.abs(z) == 1.0][:n]
+        Fr = GeodesicFrame(QR=np.eye(n, dtype=complex), theta=np.zeros(n), residual=0.0)
+        pt = us_point_at(Fr, phi)
+        exact = exact_residual(pt.Q)
+        assert _unitarity_residual(pt.Q) < exact <= pt.bound
+
 
 class TestUsRetract:
     def test_fixed_point(self):

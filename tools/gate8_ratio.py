@@ -13,8 +13,10 @@ thread, as CI runs the tests; with --caller-threads it inherits the
 caller's thread settings instead, as the tier-1 command does, which on
 a multi-core host leaves OpenBLAS free to thread. The runs interleave,
 the side that goes first alternating from run to run. Per side it prints
-the ratios in run order, then their min, quartiles, median and max, how
-many fell below 3.0, and the median over the runs of each cell's
+the ratios in run order, each with its two cells' `median_iter_ms` beside
+it, so that an outlier names its slow cell. Then per side one summary
+line: the ratios' min, quartiles, median and max, how many fell below
+3.0, and the median, min and max over the runs of each cell's
 `median_iter_ms`, at M = 64 and at M = 128. The two medians tell a move
 of fixed per-call overhead, which shows at M = 64 as much as at M = 128,
 from one of the work that grows with m. The gate itself is not run. Exit
@@ -87,18 +89,25 @@ def ratios(runs: list[tuple[float, float]]) -> np.ndarray:
     return last / first
 
 
+def run_line(name: str, runs: list[tuple[float, float]]) -> str:
+    """One line: each run's ratio, in run order, with its first and last
+    cell's median_iter_ms in ms beside it."""
+    return f"{name}: " + " ".join(f"{r:.2f} ({first:.3f}/{last:.3f})"
+                                  for r, (first, last) in zip(ratios(runs), runs))
+
+
 def summary(name: str, runs: list[tuple[float, float]]) -> str:
     """One line: the min, quartiles, median and max of the runs' ratios, how
-    many fell below FLOOR, and the median over the runs of each cell's
-    median_iter_ms."""
+    many fell below FLOOR, and the median, min and max over the runs of
+    each cell's median_iter_ms."""
     rs = ratios(runs)
     lo, q1, med, q3, hi = np.percentile(rs, [0, 25, 50, 75, 100])
     below = sum(r < FLOOR for r in rs)
-    m_first, m_last = np.median(runs, axis=0)
-    M_first, M_last = GATE8["sweep"]
+    cells = [f"{np.median(t):.3f} ms (min {min(t):.3f}, max {max(t):.3f}) at M = {M}"
+             for M, t in zip(GATE8["sweep"], zip(*runs))]
     return (f"{name}: {len(rs)} runs, min {lo:.2f}, quartiles {q1:.2f}-{q3:.2f}, "
             f"median {med:.2f}, max {hi:.2f}; {below} below {FLOOR}; median_iter_ms "
-            f"median {m_first:.3f} ms at M = {M_first}, {m_last:.3f} ms at M = {M_last}")
+            "median " + ", ".join(cells))
 
 
 def main(argv=None) -> int:
@@ -118,7 +127,7 @@ def main(argv=None) -> int:
             print(f"error: {exc}", file=sys.stderr)
             return 2
     for name, side in runs.items():
-        print(f"{name}: " + " ".join(f"{r:.2f}" for r in ratios(side)))
+        print(run_line(name, side))
     for name, side in runs.items():
         print(summary(name, side))
     return 0
